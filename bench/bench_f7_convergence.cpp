@@ -14,9 +14,7 @@ namespace {
 
 std::vector<double> error_trace(const ScenarioConfig& base,
                                 std::size_t trials, double damping,
-                                PriorQuality quality, std::size_t iterations,
-                                UpdateSchedule schedule =
-                                    UpdateSchedule::jacobi) {
+                                PriorQuality quality, std::size_t iterations) {
   std::vector<double> per_iter(iterations, 0.0);
   for (std::size_t t = 0; t < trials; ++t) {
     ScenarioConfig cfg = base;
@@ -27,7 +25,6 @@ std::vector<double> error_trace(const ScenarioConfig& base,
     gc.iteration.max_iterations = iterations;
     gc.iteration.convergence_tol = 0.0;  // run the full trace
     gc.damping = damping;
-    gc.schedule = schedule;
     gc.observer = [&](std::size_t iter,
                       std::span<const std::optional<Vec2>> est) {
       double err = 0.0;
@@ -61,16 +58,11 @@ int main() {
       error_trace(base, bc.trials, 0.3, PriorQuality::none, iterations);
   const auto undamped =
       error_trace(base, bc.trials, 0.0, PriorQuality::exact, iterations);
-  const auto gauss_seidel =
-      error_trace(base, bc.trials, 0.3, PriorQuality::exact, iterations,
-                  UpdateSchedule::gauss_seidel);
 
-  AsciiTable t({"iteration", "with priors", "no priors", "undamped+priors",
-                "gauss-seidel"});
+  AsciiTable t({"iteration", "with priors", "no priors", "undamped+priors"});
   for (std::size_t k = 0; k < iterations; ++k)
     t.add_row(std::to_string(k + 1),
-              {with_priors[k], without_priors[k], undamped[k],
-               gauss_seidel[k]}, 4);
+              {with_priors[k], without_priors[k], undamped[k]}, 4);
   t.print(std::cout);
 
   std::printf("\nplateau (mean of last 3 iterations): with priors %.4f, "

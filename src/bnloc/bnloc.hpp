@@ -47,7 +47,7 @@
 #include "inference/pyramid.hpp"
 #include "net/async_radio.hpp"
 #include "net/comm_stats.hpp"
-#include "net/summary_channel.hpp"
+#include "net/transport.hpp"
 #include "obs/histogram.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/registry.hpp"

@@ -10,7 +10,7 @@
 
 #include <cstddef>
 
-#include "net/async_radio.hpp"
+#include "net/transport.hpp"  // TransportConfig
 
 namespace bnloc {
 
@@ -57,27 +57,6 @@ struct RobustnessConfig {
   std::size_t quorum_patience = 4;
 };
 
-/// Transport selection and async-degradation knobs, shared by every engine.
-/// Defaults preserve the synchronous lockstep transport; `async = true`
-/// swaps in the event-driven AsyncRadio (net/async_radio.hpp) plus the
-/// graceful-degradation ladder (sequence-gated summaries, heartbeats,
-/// store-and-forward re-entry).
-struct TransportConfig {
-  bool async = false;
-  /// Link-layer parameters for the async transport (loss, latency, retry
-  /// ladder, duty cycle, churn, partitions). Ignored when `async` is false.
-  AsyncRadioConfig radio;
-  /// Heartbeat republish period, in rounds: a quiet (converged) node whose
-  /// last summary may have been dropped re-broadcasts at least this often,
-  /// so silence is never mistaken for agreement. 0 disables.
-  std::size_t heartbeat_rounds = 8;
-  /// Warm re-entry: when a node reboots, each live published neighbor
-  /// store-and-forward relays its newest summary to it, re-seeding the
-  /// rebooted node's inbox in one hop instead of waiting out the
-  /// publish-gate silence of converged neighbors.
-  bool reboot_relays = true;
-};
-
 /// Belief-update message scheduling policy (ROADMAP item 1; the residual
 /// ordering follows the hierarchical scheduling argument of
 /// arXiv:1509.02534).
@@ -94,10 +73,9 @@ enum class SchedulePolicy {
 };
 
 /// Residual-prioritized scheduling knobs (inference/scheduler.hpp),
-/// shared by every engine that adopts the policy. Grid-engine constraints:
-/// `residual` requires the Jacobi schedule and `reuse_messages` (a deferred
-/// link replays its cached message — without the cache there is nothing to
-/// replay).
+/// shared by every engine that adopts the policy. Grid-engine constraint:
+/// `residual` requires `reuse_messages` (a deferred link replays its cached
+/// message — without the cache there is nothing to replay).
 struct ScheduleConfig {
   SchedulePolicy policy = SchedulePolicy::round_robin;
   /// Fraction of this round's changed links granted integration, in
@@ -124,7 +102,9 @@ struct IterationConfig {
   /// total-variation change for the grid engine, mean estimate motion as a
   /// fraction of the radio range for the particle and Gaussian engines.
   double convergence_tol = 0.01;
-  /// Independent per-reception packet drop probability in [0, 1).
+  /// Independent per-reception packet drop probability in [0, 1), drawn
+  /// once per round by the sync transport. The async transport ignores it
+  /// and draws per attempt from `TransportConfig::radio.loss` instead.
   double packet_loss = 0.0;
 };
 

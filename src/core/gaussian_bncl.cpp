@@ -7,8 +7,7 @@
 
 #include "fault/anchor_vetting.hpp"
 #include "inference/gaussian2d.hpp"
-#include "net/summary_channel.hpp"
-#include "net/sync_radio.hpp"
+#include "net/transport.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
@@ -71,45 +70,18 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
     prior[i].mean = scenario.is_anchor[i] ? belief[i].mean
                                           : scenario.priors[i]->mean();
   }
-  // Published snapshots (cur/prev) model broadcast + possible loss.
-  std::vector<Gaussian2> cur_pub = belief, prev_pub = belief;
-
-  // Transport: lockstep SyncRadio by default; the event-driven AsyncRadio
-  // plus a Gaussian2 SummaryChannel with `transport.async`. Same substream
-  // salt, so the two link layers see the same scenario.
-  const bool async = config_.transport.async;
-  std::optional<SyncRadio> sync_radio;
-  std::optional<AsyncRadio> async_radio;
-  std::optional<SummaryChannel<Gaussian2>> channel;
-  if (async) {
-    async_radio.emplace(scenario.graph, config_.transport.radio,
-                        rng.split(0x5ad10), scenario.faults.death_round,
-                        scenario.faults.reboot_round);
-    channel.emplace(scenario.graph, *async_radio);
-  } else {
-    sync_radio.emplace(scenario.graph, config_.iteration.packet_loss,
-                       rng.split(0x5ad10), scenario.faults.death_round,
-                       scenario.faults.reboot_round);
-  }
-  const auto radio_crashed = [&](std::size_t u) {
-    return async ? async_radio->crashed(u) : sync_radio->crashed(u);
-  };
-  const auto radio_stats = [&]() -> const CommStats& {
-    return async ? async_radio->stats() : sync_radio->stats();
-  };
+  Transport<Gaussian2> transport(scenario, config_.transport,
+                                 config_.iteration.packet_loss,
+                                 config_.robustness.stale_ttl,
+                                 rng.split(0x5ad10));
+  // Every node's starting belief is on file from the outset, so under sync
+  // a dropped delivery falls back to it (versions are the publishing round,
+  // ignored by this engine).
+  for (std::size_t u = 0; u < n; ++u) transport.reset(u, 1, belief[u]);
   // A Gaussian summary is mean + covariance: 5 floats = 20 bytes.
   constexpr std::size_t kPayloadBytes = 20;
-  const std::size_t ttl = config_.robustness.stale_ttl;
   const double quorum = config_.robustness.update_quorum;
 
-  // Per directed CSR slot (receiver-side): round a neighbor's belief was
-  // last delivered; drives the stale-belief TTL under the sync transport
-  // (the async channel tracks its own accepted rounds).
-  std::vector<std::size_t> slot_offset(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    slot_offset[i + 1] = slot_offset[i] + scenario.graph.degree(i);
-  std::vector<std::size_t> last_heard(!async && ttl > 0 ? slot_offset[n] : 0,
-                                      0);
   // Quorum-gate state machine (see RobustnessConfig::quorum_patience):
   // armed from round one, disarms after `quorum_patience` consecutive
   // holds, re-arms on the next full quorum.
@@ -125,57 +97,30 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   obs::PhaseTimer rounds_timer("gauss.rounds");
   std::size_t iter = 0;
   for (; iter < config_.iteration.max_iterations; ++iter) {
-    if (async)
-      channel->begin_round();
-    else
-      sync_radio->begin_round();
+    transport.begin_round();
     std::size_t huber_downweighted = 0;
     std::size_t quorum_held = 0;
 
     // Reboot cold restart: the node's belief re-initializes from its prior
     // (linearized at the prior mean — the RAM holding the refined estimate
-    // is gone). The async channel has already wiped its inbox and history;
-    // under the sync idealization the shared cur/prev snapshots stay
-    // readable. Every-round publishing re-seeds it from round one.
-    if (async) {
-      for (const std::uint32_t r : async_radio->rebooted_this_round()) {
-        if (acts_anchor[r]) continue;
-        belief[r] = prior[r];
-        staged[r] = prior[r];
-        cur_pub[r] = prior[r];
-        prev_pub[r] = prior[r];
-        if (!quorum_armed.empty()) {
-          quorum_armed[r] = 1;
-          quorum_streak[r] = 0;
-        }
-        obs::count("gauss.reboots");
+    // is gone), and so does its published state, so the sync fallback on a
+    // dropped delivery is the prior too. Every-round publishing re-seeds
+    // neighbors from this round on.
+    for (const std::uint32_t r : transport.rebooted()) {
+      if (acts_anchor[r]) continue;
+      belief[r] = prior[r];
+      staged[r] = prior[r];
+      transport.reset(r, iter + 1, prior[r]);
+      if (!quorum_armed.empty()) {
+        quorum_armed[r] = 1;
+        quorum_streak[r] = 0;
       }
-    } else if (!scenario.faults.reboot_round.empty()) {
-      for (std::size_t r = 0; r < n; ++r) {
-        if (!sync_radio->just_rebooted(r) || acts_anchor[r]) continue;
-        belief[r] = prior[r];
-        staged[r] = prior[r];
-        cur_pub[r] = prior[r];
-        prev_pub[r] = prior[r];
-        if (!last_heard.empty())
-          for (std::size_t s = slot_offset[r]; s < slot_offset[r + 1]; ++s)
-            last_heard[s] = iter + 1;
-        if (!quorum_armed.empty()) {
-          quorum_armed[r] = 1;
-          quorum_streak[r] = 0;
-        }
-        obs::count("gauss.reboots");
-      }
+      obs::count("gauss.reboots");
     }
 
     for (std::size_t u = 0; u < n; ++u) {
-      if (radio_crashed(u)) continue;  // published state freezes at death
-      prev_pub[u] = cur_pub[u];
-      cur_pub[u] = belief[u];
-      if (async)
-        channel->publish(u, iter + 1, belief[u], kPayloadBytes);
-      else
-        sync_radio->record_broadcast(u, kPayloadBytes);
+      if (transport.crashed(u)) continue;  // published state freezes at death
+      transport.publish(u, iter + 1, belief[u], kPayloadBytes);
     }
 
     double max_motion = 0.0;
@@ -183,34 +128,14 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
     std::size_t unknowns = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (acts_anchor[i]) continue;
-      if (radio_crashed(i)) continue;  // dead nodes stop computing too
+      if (transport.crashed(i)) continue;  // dead nodes stop computing too
       const auto nbs = scenario.graph.neighbors(i);
 
       // Usable summary for the k-th incoming link this round, or nullptr
-      // (never heard under async, or TTL-retired). Pure read.
+      // (never heard, or TTL-retired). Pure read.
       const auto slot_src = [&](std::size_t k) -> const Gaussian2* {
-        const std::size_t slot = slot_offset[i] + k;
-        if (async) {
-          if (!channel->has(slot)) return nullptr;
-          if (ttl > 0 && iter + 1 - channel->heard_round(slot) > ttl)
-            return nullptr;
-          return &channel->payload(slot);
-        }
-        const bool fresh = sync_radio->delivered(nbs[k].node, i);
-        if (ttl > 0) {
-          const std::size_t heard =
-              fresh ? iter + 1 : last_heard[slot];
-          // Neighbor silent beyond the TTL: presumed dead, link dropped.
-          if (iter + 1 - heard > ttl) return nullptr;
-        }
-        return fresh ? &cur_pub[nbs[k].node] : &prev_pub[nbs[k].node];
+        return transport.input(transport.slot(i, k)).payload;
       };
-
-      // Sync TTL bookkeeping (the slot_src reads above stay pure).
-      if (!async && ttl > 0)
-        for (std::size_t k = 0; k < nbs.size(); ++k)
-          if (sync_radio->delivered(nbs[k].node, i))
-            last_heard[slot_offset[i] + k] = iter + 1;
 
       // Partial-neighborhood quorum: with most of the neighborhood
       // unreachable, hold the previous estimate rather than follow the
@@ -272,7 +197,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       staged[i] = post;
     }
     for (std::size_t i = 0; i < n; ++i)
-      if (!acts_anchor[i] && !radio_crashed(i)) belief[i] = staged[i];
+      if (!acts_anchor[i] && !transport.crashed(i)) belief[i] = staged[i];
 
     const double mean_motion =
         unknowns ? sum_motion / static_cast<double>(unknowns) : 0.0;
@@ -285,23 +210,12 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
         if (!scenario.is_anchor[i]) traced_estimates[i] = belief[i].mean;
       obs::RobustActivity robust;
       robust.links_downweighted = huber_downweighted;
-      if (async) {
-        std::size_t stale = 0;
-        if (ttl > 0)
-          for (std::size_t s = 0; s < slot_offset[n]; ++s)
-            if (channel->has(s) && iter + 1 - channel->heard_round(s) > ttl)
-              ++stale;
-        robust.stale_links = stale;
-        robust.crashed_nodes = async_radio->crashed_count();
-      } else {
-        robust.stale_links = obs::stale_link_count(
-            last_heard, iter + 1, config_.robustness.stale_ttl);
-        robust.crashed_nodes = sync_radio->crashed_count();
-      }
+      robust.stale_links = transport.stale_links();
+      robust.crashed_nodes = transport.crashed_count();
       robust.anchors_demoted = anchors_demoted;
       robust.quorum_held = quorum_held;
       obs::record_round(scenario, iter + 1, mean_motion, traced_estimates,
-                        radio_stats(), robust);
+                        transport.stats(), robust);
     }
     if (max_motion < config_.iteration.convergence_tol && quorum_held == 0 &&
         iter >= 2) {
@@ -320,8 +234,8 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
     result.covariances[i] = belief[i].cov;
   }
   result.iterations = iter;
-  result.comm = radio_stats();
-  if (async) result.transport_hash = async_radio->event_hash();
+  result.comm = transport.stats();
+  result.transport_hash = transport.hash();
   result.seconds = watch.seconds();
   return result;
 }

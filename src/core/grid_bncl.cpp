@@ -11,8 +11,7 @@
 #include "inference/pyramid.hpp"
 #include "inference/range_kernel.hpp"
 #include "inference/scheduler.hpp"
-#include "net/summary_channel.hpp"
-#include "net/sync_radio.hpp"
+#include "net/transport.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
@@ -28,21 +27,13 @@ GridBncl::GridBncl(GridBnclConfig config) : config_(std::move(config)) {
                "pyramid needs at least one level");
   BNLOC_ASSERT(config_.pyramid_roi_margin >= 0,
                "ROI margin cannot be negative");
-  BNLOC_ASSERT(!config_.transport.async ||
-                   config_.schedule == UpdateSchedule::jacobi,
-               "async transport requires the Jacobi schedule");
   BNLOC_ASSERT(config_.robustness.update_quorum >= 0.0 &&
                    config_.robustness.update_quorum <= 1.0,
                "update quorum must be a fraction");
-  if (config_.sched.policy == SchedulePolicy::residual) {
-    BNLOC_ASSERT(config_.schedule == UpdateSchedule::jacobi,
-                 "residual scheduling requires the Jacobi schedule "
-                 "(Gauss-Seidel re-versions summaries mid-round, so a "
-                 "pre-round scan cannot rank them)");
-    BNLOC_ASSERT(config_.reuse_messages,
-                 "residual scheduling requires reuse_messages: a deferred "
-                 "link replays its cached message");
-  }
+  BNLOC_ASSERT(config_.sched.policy != SchedulePolicy::residual ||
+                   config_.reuse_messages,
+               "residual scheduling requires reuse_messages: a deferred "
+               "link replays its cached message");
 }
 
 std::string GridBncl::name() const {
@@ -170,12 +161,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
   // Per-node parallelism pilot: the Jacobi update, the publish phase's
   // decide/sparsify pass, and the staged→current commit are independent
-  // across nodes within a round, so they split across a pool. Gauss-Seidel
-  // is order-dependent and keeps the serial update path regardless of
-  // config_.threads.
-  const bool parallel_update = config_.threads != 1 &&
-                               config_.schedule == UpdateSchedule::jacobi &&
-                               n > 1;
+  // across nodes within a round, so they split across a pool.
+  const bool parallel_update = config_.threads != 1 && n > 1;
   std::optional<ThreadPool> pool;
   if (parallel_update) pool.emplace(config_.threads);
 
@@ -195,11 +182,14 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   // summary that did not change between rounds never pays for the same
   // kernel correlation twice. Versions survive level switches (the cell-id
   // payloads are translated; the messages built from them are not, but the
-  // per-level caches are flushed anyway).
-  std::vector<SparseBelief> cur_pub(n), prev_pub(n);
-  std::vector<std::uint64_t> cur_ver(n, 0), prev_ver(n, 0);
+  // per-level caches are flushed anyway). The summaries themselves live in
+  // the transport, which serves each receiver-side slot its view of them.
+  Transport<SparseBelief> transport(scenario, config_.transport,
+                                    config_.iteration.packet_loss,
+                                    config_.robustness.stale_ttl,
+                                    rng.split(0x5ad10));
+  constexpr std::uint64_t kSigTtlSkip = Transport<SparseBelief>::kStale;
   std::uint64_t pub_seq = 0;
-  std::vector<unsigned char> ever_published(n, 0);
 
   // --- Residual-prioritized scheduling (ROADMAP item 1) -------------------
   // Sender-side residual accounting, exact and transport-agnostic: every
@@ -227,45 +217,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     sched.emplace(config_.sched, n_links + n_nonlinks);
   }
 
-  // Transport. Both radios draw from the same substream salt, so a config
-  // differing only in `transport.async` compares the same scenario under
-  // the two link layers. The sync radio now also honors a reboot schedule
-  // (battery-swap recovery); the async radio adds the full event-driven
-  // link layer plus the SummaryChannel that binds accepted sequence numbers
-  // back to payloads.
-  const bool async = config_.transport.async;
-  std::optional<SyncRadio> sync_radio;
-  std::optional<AsyncRadio> async_radio;
-  std::optional<SummaryChannel<SparseBelief>> channel;
-  if (async) {
-    async_radio.emplace(scenario.graph, config_.transport.radio,
-                        rng.split(0x5ad10), scenario.faults.death_round,
-                        scenario.faults.reboot_round);
-    channel.emplace(scenario.graph, *async_radio);
-  } else {
-    sync_radio.emplace(scenario.graph, config_.iteration.packet_loss,
-                       rng.split(0x5ad10), scenario.faults.death_round,
-                       scenario.faults.reboot_round);
-  }
-  const auto radio_crashed = [&](std::size_t u) {
-    return async ? async_radio->crashed(u) : sync_radio->crashed(u);
-  };
-  const auto radio_stats = [&]() -> const CommStats& {
-    return async ? async_radio->stats() : sync_radio->stats();
-  };
-  const bool always_publish = !async && config_.iteration.packet_loss > 0.0;
-  const std::size_t heartbeat =
-      async ? config_.transport.heartbeat_rounds : 0;
+  const std::size_t heartbeat = transport.heartbeat_rounds();
   const double quorum = config_.robustness.update_quorum;
-  // Round a neighbor's summary was last delivered, per directed CSR slot
-  // (receiver-side); drives the stale-belief TTL under the sync transport
-  // (the async channel tracks its own accepted rounds). Indexed by the
-  // global round counter, so it carries across pyramid levels unchanged.
-  std::vector<std::size_t> last_heard(
-      !async && config_.robustness.stale_ttl > 0 ? n_links : 0, 0);
-  // Round each node last published, for the async heartbeat: a converged
-  // node re-announces at least every `heartbeat` rounds so a receiver whose
-  // last copy was dropped is not starved forever by the TV gate.
+  // Round each node last published, for the heartbeat: a converged node
+  // re-announces at least every `heartbeat` rounds so a receiver whose last
+  // copy was dropped is not starved forever by the TV gate.
   std::vector<std::size_t> last_pub_round(heartbeat > 0 ? n : 0, 0);
   // Quorum-gate state machine, per node: `armed` starts set (the gate may
   // hold from round one — under the async transport that synchronizes the
@@ -275,9 +231,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   // sweep; carries across pyramid levels.
   std::vector<unsigned char> quorum_armed(quorum > 0.0 ? n : 0, 1);
   std::vector<std::uint32_t> quorum_streak(quorum > 0.0 ? n : 0, 0);
-  // Nodes rebooting in the current round (sync: just_rebooted scan; async:
-  // the radio's list) — the cold-restart hook.
-  std::vector<std::uint32_t> rebooted_scratch;
 
   // --- Cross-level belief state -------------------------------------------
   // The current beliefs and the last-published dense copies carry across
@@ -308,7 +261,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   // serially in node order (bit-identical at any thread count).
   std::vector<SparseBelief> pub_candidate(n);
   std::vector<unsigned char> will_publish(n, 0);
-  SparseBelief sp_scratch;
   std::vector<std::uint32_t> order_scratch;
 
   const auto emit_estimates = [&]() {
@@ -414,17 +366,12 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
               roi[i]);
         }
         copy_belief(prior_grid[i], next_belief[i]);
-        if (lvl > 0 && ever_published[i]) {
-          cur_pub[i] = upsample_summary(prev_shape, shape, cur_pub[i]);
-          prev_pub[i] = upsample_summary(prev_shape, shape, prev_pub[i]);
-        }
       }
-      // Async: the channel's stored payloads (send histories awaiting
-      // retried deliveries, and every receiver inbox) must be re-expressed
-      // on the new grid too — receiver-locally, no radio traffic, same as
-      // the cur_pub/prev_pub translation above.
-      if (async && lvl > 0)
-        channel->transform([&](SparseBelief& s) {
+      // Every stored summary (senders' published ones, async send histories
+      // awaiting retried deliveries, receiver inboxes) is re-expressed on
+      // the new grid — receiver-locally, no radio traffic.
+      if (lvl > 0)
+        transport.transform([&](SparseBelief& s) {
           s = upsample_summary(prev_shape, shape, s);
         });
       belief_opt.emplace(std::move(next_belief));
@@ -540,7 +487,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     const bool reuse_products = config_.reuse_messages;
     // Per-input-slot signature of what the last recompute consumed: the
     // summary version used, or the marker for "contributed nothing" (TTL).
-    constexpr std::uint64_t kSigTtlSkip = ~std::uint64_t{0};
     std::optional<BeliefStore> product;
     std::vector<unsigned char> have_product;
     std::vector<std::uint64_t> in_sig;
@@ -599,29 +545,15 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
     for (std::size_t level_round = 0; level_round < level_cap;
          ++level_round, ++iter) {
-      if (async)
-        channel->begin_round();
-      else
-        sync_radio->begin_round();
+      transport.begin_round();
 
       // Reboot cold restart. A rebooted node's RAM is gone: its belief
       // restarts from the prior, its publish state resets (so the
-      // informative/TV gates treat it as a newcomer), and its cached
-      // product is invalid. Receiver-side state differs per transport: the
-      // async channel already wiped the inbox; the sync radio's shared
-      // cur_pub/prev_pub model the *senders'* state and stay readable (the
-      // idealization is a flash-persisted summary cache), with a TTL grace
-      // so retirement restarts from the reboot round.
-      std::span<const std::uint32_t> rebooted;
-      if (async) {
-        rebooted = async_radio->rebooted_this_round();
-      } else if (!scenario.faults.reboot_round.empty()) {
-        rebooted_scratch.clear();
-        for (std::size_t u = 0; u < n; ++u)
-          if (sync_radio->just_rebooted(u))
-            rebooted_scratch.push_back(static_cast<std::uint32_t>(u));
-        rebooted = rebooted_scratch;
-      }
+      // informative/TV gates treat it as a newcomer, and its published
+      // summaries are cleared), and its cached product is invalid. The
+      // transport has already wiped its receiver-side state (async inbox)
+      // or granted its incoming slots a TTL grace (sync).
+      const std::span<const std::uint32_t> rebooted = transport.rebooted();
       for (const std::uint32_t r : rebooted) {
         if (acts_anchor[r]) {  // an anchor's state is its surveyed position
           continue;
@@ -630,11 +562,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         copy_belief(prior_grid[r], staged[r]);
         const std::span<double> lp = last_pub_dense[r];
         std::fill(lp.begin(), lp.end(), 0.0);
-        ever_published[r] = 0;
-        cur_pub[r] = SparseBelief{};
-        prev_pub[r] = SparseBelief{};
-        cur_ver[r] = 0;
-        prev_ver[r] = 0;
+        transport.reset(r, 0, SparseBelief{});
         if (reuse_products) have_product[r] = 0;
         // Residual policy: a fresh boot owes nothing and is owed nothing —
         // its input signatures reset to "never integrated", so every slot
@@ -655,10 +583,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
               sched->reset_slot(s);
             }
         }
-        if (!last_heard.empty())
-          for (std::size_t s = kernel_offset[r]; s < kernel_offset[r + 1];
-               ++s)
-            last_heard[s] = iter + 1;
         // A fresh boot re-arms the quorum gate: wait for the re-entry
         // relays to re-fill the inbox before committing to an update.
         if (!quorum_armed.empty()) {
@@ -667,16 +591,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         }
         obs::count("grid.reboots");
       }
-      // Warm re-entry (async): each live published neighbor
-      // store-and-forward relays its newest summary to the rebooted node,
-      // re-seeding its inbox in one hop instead of waiting out the TV-gate
-      // silence of converged neighbors.
-      if (async && config_.transport.reboot_relays) {
+      // Warm re-entry (async; a no-op under sync): each live published
+      // neighbor store-and-forward relays its newest summary to the
+      // rebooted node, re-seeding its inbox in one hop instead of waiting
+      // out the TV-gate silence of converged neighbors.
+      if (config_.transport.reboot_relays) {
         for (const std::uint32_t r : rebooted) {
           for (const Neighbor& nb : scenario.graph.neighbors(r)) {
-            if (async_radio->crashed(nb.node) || !ever_published[nb.node])
-              continue;
-            channel->relay(nb.node, r, cur_pub[nb.node].payload_bytes());
+            const SparseBelief* newest = transport.newest(nb.node).payload;
+            if (transport.crashed(nb.node) || newest == nullptr) continue;
+            transport.relay(nb.node, r, newest->payload_bytes());
           }
         }
       }
@@ -690,13 +614,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       const auto decide_publish = [&](std::size_t u,
                                       std::vector<std::uint32_t>& oscratch) {
         will_publish[u] = 0;
-        if (radio_crashed(u)) return;
-        // Heartbeat (async): a quiet node re-announces at least every
-        // `heartbeat` rounds. Under a lossy async link a converged node's
-        // final summary can simply never have arrived somewhere — and the
-        // TV gate would keep it silent forever, starving that receiver.
+        if (transport.crashed(u)) return;
+        // Heartbeat: a quiet node re-announces at least every `heartbeat`
+        // rounds. Under a lossy link a converged node's final summary can
+        // simply never have arrived somewhere — and the TV gate would keep
+        // it silent forever, starving that receiver.
+        // Announced since its last reboot (a rebooted anchor keeps its
+        // summary, so it stays announced).
+        const bool ever_published = transport.newest(u).ver != 0;
         const bool force_heartbeat =
-            heartbeat > 0 && ever_published[u] &&
+            heartbeat > 0 && ever_published &&
             iter + 1 - last_pub_round[u] >= heartbeat;
         // Quiet-node short circuit: once a node has published (and nothing
         // forces re-broadcast), the decision reduces to the re-broadcast TV
@@ -705,7 +632,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         // either way a quiet node does not publish. All three dense steps
         // (TV gate, sparsify, last-published copy) stay inside the node's
         // ROI — both buffers are zero outside it.
-        if (ever_published[u] && !always_publish && !force_heartbeat) {
+        if (ever_published && !force_heartbeat) {
           const double tv = beliefops::total_variation_in(
               belief[u], last_pub_dense[u], side, roi[u]);
           if (tv <= config_.rebroadcast_tol) return;
@@ -716,7 +643,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           // announcement is maximally newsworthy, so receivers never defer
           // their bootstrap.
           pub_residual[u] =
-              ever_published[u]
+              ever_published
                   ? beliefops::total_variation_in(belief[u],
                                                   last_pub_dense[u], side,
                                                   roi[u])
@@ -750,31 +677,26 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         for (std::size_t u = 0; u < n; ++u) {
           if (!will_publish[u]) continue;
           const std::uint64_t ver = ++pub_seq;
-          prev_pub[u] = ever_published[u] ? std::move(cur_pub[u])
-                                          : pub_candidate[u];
-          prev_ver[u] = ever_published[u] ? cur_ver[u] : ver;
-          cur_pub[u] = std::move(pub_candidate[u]);
-          cur_ver[u] = ver;
-          ever_published[u] = 1;
+          // A first announcement is also the sync fallback for a receiver
+          // that misses this round's delivery.
+          if (transport.newest(u).ver == 0)
+            transport.reset(u, ver, pub_candidate[u]);
           if (sched_enabled) {
             // ver_accum is indexed by the global publish version, so the
             // serial commit order keeps it aligned with pub_seq exactly.
             node_res_accum[u] += pub_residual[u];
             ver_accum.push_back(node_res_accum[u]);
           }
-          if (async) {
-            channel->publish(u, ver, cur_pub[u], cur_pub[u].payload_bytes());
-            if (heartbeat > 0) last_pub_round[u] = iter + 1;
-          } else {
-            sync_radio->record_broadcast(u, cur_pub[u].payload_bytes());
-          }
+          const std::size_t bytes = pub_candidate[u].payload_bytes();
+          transport.publish(u, ver, std::move(pub_candidate[u]), bytes);
+          if (heartbeat > 0) last_pub_round[u] = iter + 1;
         }
       }
 
       // Scan phase (residual policy): rank this round's changed links by
       // pending residual and defer everything below the budget. Serial, in
-      // node order, over pure per-round reads (delivery flags are stable
-      // within a round; the channel getters are const), so the decision
+      // node order, over pure per-round reads (the transport's per-slot
+      // inputs are fixed once the round has begun), so the decision
       // bitmap — the only thing the parallel update phase sees — is a pure
       // function of the round's inputs: bit-identical at any thread count,
       // and identical under async replay.
@@ -816,34 +738,19 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           sched_cand_scratch.push_back(static_cast<std::uint32_t>(slot));
         };
         for (std::size_t i = 0; i < n; ++i) {
-          if (acts_anchor[i] || radio_crashed(i)) continue;
+          if (acts_anchor[i] || transport.crashed(i)) continue;
           sched_cand_scratch.clear();
           pending_sum = 0.0;
           force_rebuild = false;
-          const auto nbs = scenario.graph.neighbors(i);
-          for (std::size_t k = 0; k < nbs.size(); ++k) {
-            const std::size_t slot = kernel_offset[i] + k;
-            std::uint64_t sig;
-            if (async) {
-              sig = channel->version(slot);
-              if (sig != 0 && scan_ttl > 0 &&
-                  iter + 1 - channel->heard_round(slot) > scan_ttl)
-                sig = kSigTtlSkip;
-            } else {
-              const bool fresh = sync_radio->delivered(nbs[k].node, i);
-              sig = fresh ? cur_ver[nbs[k].node] : prev_ver[nbs[k].node];
-              if (scan_ttl > 0) {
-                const std::size_t heard = fresh ? iter + 1 : last_heard[slot];
-                if (iter + 1 - heard > scan_ttl) sig = kSigTtlSkip;
-              }
-            }
-            classify(slot, sig);
-          }
+          for (std::size_t slot = kernel_offset[i]; slot < kernel_offset[i + 1];
+               ++slot)
+            classify(slot, transport.input(slot).ver);
           if (config_.use_negative_evidence) {
             const auto& nls = nonlinks[i];
             for (std::size_t k = 0; k < nls.size(); ++k) {
-              std::uint64_t sig = cur_ver[nls[k]];
-              if (scan_ttl > 0 && radio_crashed(nls[k])) sig = kSigTtlSkip;
+              std::uint64_t sig = transport.newest(nls[k]).ver;
+              if (scan_ttl > 0 && transport.crashed(nls[k]))
+                sig = kSigTtlSkip;
               classify(n_links + nl_offset[i] + k, sig);
             }
           }
@@ -861,63 +768,20 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       }
 
       // Update phase: rebuild each unknown's belief from its prior and the
-      // currently-visible neighbor summaries. Jacobi writes into a staging
-      // buffer (order-independent, the honest distributed semantics);
-      // Gauss-Seidel commits each node's belief and published summary
-      // immediately so later nodes in the round already see it.
-      const bool gauss_seidel =
-          config_.schedule == UpdateSchedule::gauss_seidel;
-      // Gauss-Seidel commit: later nodes in the sweep already see this
-      // node's updated belief and summary (a centralized sweep has no extra
-      // broadcast; traffic is not re-metered). The version bump keeps
-      // downstream message caches honest. Serial schedule only.
-      const auto commit_gs = [&](std::size_t i, std::span<const double> next) {
-        beliefops::copy_in(next, belief[i], side, roi[i]);
-        beliefops::sparsify_in(belief[i], side, roi[i], config_.support_mass,
-                               pub_cap, sp_scratch,
-                               order_scratch);
-        if (sp_scratch.covered_fraction >= config_.informative_coverage) {
-          cur_pub[i] = std::move(sp_scratch);
-          cur_ver[i] = ++pub_seq;
-          ever_published[i] = 1;
-        }
-      };
+      // summaries the transport serves its incoming slots this round (pure
+      // reads — the async inbox or the sync sender's current/previous
+      // summary, with the TTL applied). Writes go to a staging buffer:
+      // order-independent, the honest distributed semantics.
       const auto update_node = [&](std::size_t i,
                                    std::vector<double>& scratch) {
         if (acts_anchor[i]) return;
-        if (radio_crashed(i)) return;  // dead nodes stop computing too
+        if (transport.crashed(i)) return;  // dead nodes stop computing too
         const std::span<double> next = staged[i];
         const auto nbs = scenario.graph.neighbors(i);
         const CellBox& box = roi[i];
         const std::uint64_t box_cells =
             static_cast<std::uint64_t>(box.cell_count());
         const std::size_t ttl = config_.robustness.stale_ttl;
-
-        // Is the slot's summary usable this round, and under which version?
-        // The one predicate both transports share: the async channel serves
-        // its inbox (whatever was last *accepted*, however stale, until the
-        // TTL retires it); the sync radio serves the sender's current or
-        // previous summary depending on this round's delivery. Pure reads —
-        // callable any number of times per round.
-        const auto slot_input = [&](std::size_t k, std::size_t slot)
-            -> std::pair<const SparseBelief*, std::uint64_t> {
-          if (async) {
-            const std::uint64_t ver = channel->version(slot);
-            if (ver == 0) return {nullptr, 0};
-            if (ttl > 0 && iter + 1 - channel->heard_round(slot) > ttl)
-              return {nullptr, kSigTtlSkip};
-            return {&channel->payload(slot), ver};
-          }
-          const std::size_t j = nbs[k].node;
-          const bool fresh = sync_radio->delivered(j, i);
-          if (ttl > 0) {
-            const std::size_t heard = fresh ? iter + 1 : last_heard[slot];
-            if (iter + 1 - heard > ttl) return {nullptr, kSigTtlSkip};
-          }
-          const SparseBelief* src = fresh ? &cur_pub[j] : &prev_pub[j];
-          return {src->empty() ? nullptr : src,
-                  fresh ? cur_ver[j] : prev_ver[j]};
-        };
 
         // Partial-neighborhood quorum: when most of the neighborhood is
         // unreachable (partition, mass loss, crash cluster, summaries
@@ -933,9 +797,9 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         // while it was not looking.
         if (quorum > 0.0 && !nbs.empty()) {
           std::size_t usable = 0;
-          for (std::size_t k = 0; k < nbs.size(); ++k)
-            if (slot_input(k, kernel_offset[i] + k).first != nullptr)
-              ++usable;
+          for (std::size_t slot = kernel_offset[i];
+               slot < kernel_offset[i + 1]; ++slot)
+            if (transport.input(slot).payload != nullptr) ++usable;
           const bool met = static_cast<double>(usable) >=
                            quorum * static_cast<double>(nbs.size());
           if (met) {
@@ -946,13 +810,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             ++quorum_streak[i];
             node_quorum_held[i] = 1;
             if (reuse_products) have_product[i] = 0;
-            // A held node still *listened*: the sync TTL bookkeeping must
-            // record this round's deliveries or held rounds would count as
-            // silence and retire perfectly live neighbors.
-            if (!async && ttl > 0)
-              for (std::size_t k = 0; k < nbs.size(); ++k)
-                if (sync_radio->delivered(nbs[k].node, i))
-                  last_heard[kernel_offset[i] + k] = iter + 1;
             return;
           } else if (quorum_armed[i]) {
             quorum_armed[i] = 0;  // patience exhausted: free-run
@@ -960,34 +817,20 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           }
         }
 
-        // Pre-pass: fold this round's inputs into the per-slot signatures
-        // (doing the sync TTL bookkeeping; the main loop's repeat of it is
-        // idempotent). If every signature is unchanged, the cached product
-        // is exact and the message loop is skipped entirely.
+        // Pre-pass: fold this round's inputs into the per-slot signatures.
+        // If every signature is unchanged, the cached product is exact and
+        // the message loop is skipped entirely.
         bool static_inputs = false;
         if (reuse_products) {
           static_inputs = have_product[i] != 0;
-          for (std::size_t k = 0; k < nbs.size(); ++k) {
-            const std::size_t j = nbs[k].node;
-            const std::size_t slot = kernel_offset[i] + k;
-            std::uint64_t sig;
-            if (async) {
-              sig = slot_input(k, slot).second;
-            } else {
-              const bool fresh = sync_radio->delivered(j, i);
-              sig = fresh ? cur_ver[j] : prev_ver[j];
-              if (ttl > 0) {
-                std::size_t& heard = last_heard[slot];
-                if (fresh) heard = iter + 1;
-                else if (iter + 1 - heard > ttl)
-                  sig = kSigTtlSkip;
-              }
-            }
+          for (std::size_t slot = kernel_offset[i]; slot < kernel_offset[i + 1];
+               ++slot) {
+            const std::uint64_t sig = transport.input(slot).ver;
             // A deferred slot holds its old signature — the cached message
             // keeps contributing and the slot stays a scheduling candidate
             // until the budget (or the starvation floor) lets the new
-            // version in. The sync TTL bookkeeping above already ran:
-            // quiet-by-deferral still counts as heard.
+            // version in. Deferral never reads as silence: the transport's
+            // heard rounds come from the radio, not from integration.
             if (sched_active && sched->deferred(slot)) continue;
             if (in_sig[slot] != sig) {
               in_sig[slot] = sig;
@@ -1006,8 +849,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
               // The coverage gate depends only on the summary, so the
               // version alone identifies the contribution; a crash only
               // matters when the TTL retires frozen summaries.
-              std::uint64_t sig = cur_ver[far];
-              if (ttl > 0 && radio_crashed(far)) sig = kSigTtlSkip;
+              std::uint64_t sig = transport.newest(far).ver;
+              if (ttl > 0 && transport.crashed(far)) sig = kSigTtlSkip;
               if (sched_active && sched->deferred(slot)) continue;
               if (in_sig[slot] != sig) {
                 in_sig[slot] = sig;
@@ -1025,19 +868,13 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           beliefops::mix_in(next, belief[i], config_.damping, side, box);
           node_change[i] =
               beliefops::total_variation_in(next, belief[i], side, box);
-          if (gauss_seidel) commit_gs(i, next);
           return;
         }
 
         beliefops::copy_in(prior_grid[i], next, side, box);
         node_cell_visits[i] += box_cells;  // prior copy
-        for (std::size_t k = 0; k < nbs.size(); ++k) {
-          const std::size_t slot = kernel_offset[i] + k;
-          // Sync TTL bookkeeping (idempotent with the prepass): a slot
-          // undelivered for longer than the TTL retires — the neighbor is
-          // presumed dead and its stale summary decays out of the product.
-          if (!async && ttl > 0 && sync_radio->delivered(nbs[k].node, i))
-            last_heard[slot] = iter + 1;
+        for (std::size_t slot = kernel_offset[i]; slot < kernel_offset[i + 1];
+             ++slot) {
           // Deferred link: replay the message of the last-integrated
           // version (bit-identical to the round it was computed in) and
           // skip the kernel correlation the new summary would cost. The
@@ -1054,7 +891,10 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             }
             continue;
           }
-          const auto [src_ptr, ver] = slot_input(k, slot);
+          // A slot undelivered for longer than the TTL serves nothing: the
+          // neighbor is presumed dead and its stale summary decays out of
+          // the product.
+          const auto [src_ptr, ver] = transport.input(slot);
           if (src_ptr == nullptr) continue;
           const SparseBelief& src = *src_ptr;
           if (src.empty()) continue;
@@ -1118,17 +958,21 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
               }
             }
             // With a TTL active, a dead node's frozen summary stops being
-            // usable as non-link evidence as well. (Both transports read
-            // cur_pub[far] here — two-hop summaries are not on the radio at
-            // all; the non-link factor is an idealization either way.)
-            if (ttl > 0 && radio_crashed(far)) continue;
-            const SparseBelief& src = cur_pub[far];
+            // usable as non-link evidence as well. (Both transports read the
+            // sender's newest summary here — two-hop summaries are not on
+            // the radio at all; the non-link factor is an idealization
+            // either way.)
+            if (ttl > 0 && transport.crashed(far)) continue;
+            const auto [src_ptr, ver] = transport.newest(far);
             // Negative evidence only pays off against a concentrated belief.
-            if (src.empty() || src.covered_fraction < 0.9) continue;
+            if (src_ptr == nullptr || src_ptr->empty() ||
+                src_ptr->covered_fraction < 0.9)
+              continue;
+            const SparseBelief& src = *src_ptr;
             if (reuse) {
               const std::size_t slot = n_links + nl_offset[i] + k;
               const std::span<double> cached = (*msg_store)[slot];
-              if (msg_ver[slot] == cur_ver[far]) {
+              if (msg_ver[slot] == ver) {
                 ++node_msgs_reused[i];
                 node_cell_visits[i] += box_cells;
                 beliefops::multiply_in(next, cached, config_.message_floor,
@@ -1138,7 +982,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
               zero_in(cached, box);
               conn_kernel.accumulate(src, cached, side, &box);
               neg_transform(cached, box);
-              msg_ver[slot] = cur_ver[far];
+              msg_ver[slot] = ver;
               ++node_msgs_computed[i];
               node_kernel_cells[i] +=
                   static_cast<std::uint64_t>(src.cells.size()) *
@@ -1170,7 +1014,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         node_change[i] =
             beliefops::total_variation_in(next, belief[i], side, box);
         node_cell_visits[i] += 2 * box_cells;  // mix + residual
-        if (gauss_seidel) commit_gs(i, next);
       };
 
       std::fill(node_change.begin(), node_change.end(), -1.0);
@@ -1185,7 +1028,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                 static_cast<unsigned char>(0));
       {
         const obs::Span update_span("grid.update");
-        if (pool && !gauss_seidel) {
+        if (pool) {
           parallel_for_chunks(*pool, n,
                               [&](std::size_t begin, std::size_t end) {
                                 std::vector<double> scratch(cells);
@@ -1221,11 +1064,12 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       obs::count("grid.kernel_cells", kernel_cells);
       obs::count(lvl_visits_name, cell_visits);
       if (quorum_held) obs::count("grid.quorum_holds", quorum_held);
-      if (!gauss_seidel) {
+      {
         const obs::Span commit_span("grid.commit");
         const auto commit_chunk = [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i)
-            if (!acts_anchor[i] && !radio_crashed(i) && !node_quorum_held[i])
+            if (!acts_anchor[i] && !transport.crashed(i) &&
+                !node_quorum_held[i])
               beliefops::copy_in(staged[i], belief[i], side, roi[i]);
         };
         if (pool)
@@ -1251,23 +1095,10 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         obs::RobustActivity robust;
         robust.anchors_demoted = anchors_demoted;
         robust.quorum_held = quorum_held;
-        if (async) {
-          if (config_.robustness.stale_ttl > 0) {
-            std::size_t stale = 0;
-            for (std::size_t s = 0; s < n_links; ++s)
-              if (channel->has(s) && iter + 1 - channel->heard_round(s) >
-                                         config_.robustness.stale_ttl)
-                ++stale;
-            robust.stale_links = stale;
-          }
-          robust.crashed_nodes = async_radio->crashed_count();
-        } else {
-          robust.stale_links = obs::stale_link_count(
-              last_heard, iter + 1, config_.robustness.stale_ttl);
-          robust.crashed_nodes = sync_radio->crashed_count();
-        }
+        robust.stale_links = transport.stale_links();
+        robust.crashed_nodes = transport.crashed_count();
         obs::record_round(scenario, iter + 1, mean_change, result.estimates,
-                          radio_stats(), robust);
+                          transport.stats(), robust);
       }
       // Converged at this resolution: the finest level ends the run; a
       // coarse level just hands over to the next rung early. A round with
@@ -1295,8 +1126,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
   emit_estimates();
   result.iterations = iter;
-  result.comm = radio_stats();
-  if (async) result.transport_hash = async_radio->event_hash();
+  result.comm = transport.stats();
+  result.transport_hash = transport.hash();
   result.seconds = watch.seconds();
   return result;
 }

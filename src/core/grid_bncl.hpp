@@ -19,8 +19,8 @@
 //    worth a packet (uninformative-flooding suppression);
 //  * a localized node re-broadcasts only when its belief moved by more than
 //    `rebroadcast_tol` total variation;
-//  * payloads are the sparse top-cells summary, metered through SyncRadio
-//    (optionally lossy).
+//  * payloads are the sparse top-cells summary, metered through the
+//    transport (net/transport.hpp; optionally lossy).
 #pragma once
 
 #include <functional>
@@ -41,15 +41,6 @@ enum class KernelScope {
             ///< cross-tenant fast path (docs/SERVICE.md). Bit-identical
             ///< output either way; kernels are pure functions of
             ///< (distance, ranging, shape).
-};
-
-/// Belief-update ordering within a round.
-enum class UpdateSchedule {
-  jacobi,        ///< all nodes update from the round-start snapshot — the
-                 ///< faithful model of a synchronous distributed protocol.
-  gauss_seidel,  ///< nodes update in index order, each seeing the beliefs
-                 ///< already updated this round — a centralized idealization
-                 ///< that converges in fewer rounds (scheduling ablation).
 };
 
 struct GridBnclConfig {
@@ -74,7 +65,6 @@ struct GridBnclConfig {
   /// may move into during the level) but slower; 4 covers the coarse-cell
   /// quantization plus normal per-round drift.
   std::int32_t pyramid_roi_margin = 4;
-  UpdateSchedule schedule = UpdateSchedule::jacobi;
   /// Shared outer-loop knobs. `convergence_tol` here is the *mean* belief
   /// total-variation change per round (estimates plateau earlier than
   /// individual beliefs settle).
@@ -110,10 +100,9 @@ struct GridBnclConfig {
   /// churn, receivers integrate whatever their inbox holds (however stale),
   /// and the degradation ladder — TTL retirement, `robustness.update_quorum`
   /// holds, heartbeat republish, store-and-forward reboot re-entry — keeps
-  /// the posterior honest. Async requires the Jacobi schedule (Gauss-Seidel
-  /// mutates mid-round state the transport snapshot cannot represent).
-  /// `iteration.packet_loss` is ignored in async mode: loss lives in
-  /// `transport.radio.loss` (per *attempt*, not per round).
+  /// the posterior honest. `iteration.packet_loss` is ignored in async
+  /// mode: loss lives in `transport.radio.loss` (per *attempt*, not per
+  /// round). Both link layers sit behind one Transport (net/transport.hpp).
   TransportConfig transport;
 
   /// Message scheduling policy (ROADMAP item 1); see core/engine_config.hpp
@@ -127,10 +116,9 @@ struct GridBnclConfig {
   /// and defers everything below `sched.link_budget_frac`; deferred links
   /// replay their
   /// cached message until the budget — or the `sched.starvation_rounds`
-  /// floor — lets the new summary in. Requires Jacobi + `reuse_messages`;
-  /// rides both transports; deterministic at any thread count (the scan is
-  /// serial, the update phase only reads the decision bitmap). Named config
-  /// `sched` because `schedule` above already names the sweep order.
+  /// floor — lets the new summary in. Requires `reuse_messages`; rides both
+  /// transports; deterministic at any thread count (the scan is serial, the
+  /// update phase only reads the decision bitmap).
   ScheduleConfig sched;
 
   // --- Fast-path controls (PR4). All bit-identity-preserving: they change
@@ -166,9 +154,7 @@ struct GridBnclConfig {
   /// summaries and writes only its own slots — and the order-sensitive
   /// effects (publish version numbers, metered radio traffic) are committed
   /// by a serial second pass in node order, so any thread count yields
-  /// bit-identical results. The Gauss-Seidel update schedule is
-  /// order-dependent by definition and always runs its sweep serially.
-  /// 1 (default) keeps the engine single-threaded so trial-level
+  /// bit-identical results. 1 (default) keeps the engine single-threaded so trial-level
   /// parallelism above it never oversubscribes; 0 selects hardware
   /// concurrency.
   std::size_t threads = 1;

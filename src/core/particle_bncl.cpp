@@ -6,8 +6,7 @@
 
 #include "fault/anchor_vetting.hpp"
 #include "inference/particle_set.hpp"
-#include "net/summary_channel.hpp"
-#include "net/sync_radio.hpp"
+#include "net/transport.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
@@ -80,48 +79,14 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
                          : ParticleSet::from_prior(prior_of(i), k_particles,
                                                    init_rng));
   }
-  // Published clouds: the subsampled particles a node put on the air, with
-  // the cloud's RMS spread (the informativeness gate on the receiver side).
-  // (Subsampling is also the payload bound: M points of 8 bytes each.)
-  std::vector<std::vector<Vec2>> cur_pub(n), prev_pub(n);
-  std::vector<double> cur_spread(n, 1e30), prev_spread(n, 1e30);
   const double spread_gate = config_.informative_spread * scenario.radio.range;
 
-  // Transport: lockstep SyncRadio by default; the event-driven AsyncRadio
-  // plus a cloud-valued SummaryChannel with `transport.async` (same
-  // substream salt, so both link layers see the same scenario).
-  const bool async = config_.transport.async;
-  std::optional<SyncRadio> sync_radio;
-  std::optional<AsyncRadio> async_radio;
-  std::optional<SummaryChannel<ParticleSummary>> channel;
-  if (async) {
-    async_radio.emplace(scenario.graph, config_.transport.radio,
-                        rng.split(0x5ad10), scenario.faults.death_round,
-                        scenario.faults.reboot_round);
-    channel.emplace(scenario.graph, *async_radio);
-  } else {
-    sync_radio.emplace(scenario.graph, config_.iteration.packet_loss,
-                       rng.split(0x5ad10), scenario.faults.death_round,
-                       scenario.faults.reboot_round);
-  }
-  const auto radio_crashed = [&](std::size_t u) {
-    return async ? async_radio->crashed(u) : sync_radio->crashed(u);
-  };
-  const auto radio_stats = [&]() -> const CommStats& {
-    return async ? async_radio->stats() : sync_radio->stats();
-  };
+  Transport<ParticleSummary> transport(scenario, config_.transport,
+                                       config_.iteration.packet_loss,
+                                       config_.robustness.stale_ttl,
+                                       rng.split(0x5ad10));
   Rng work_rng = rng.split(0x40c);
-  const std::size_t ttl = config_.robustness.stale_ttl;
   const double quorum = config_.robustness.update_quorum;
-
-  // Per directed CSR slot (receiver-side): round a neighbor's cloud was
-  // last delivered; drives the stale-belief TTL under the sync transport
-  // (the async channel tracks its own accepted rounds).
-  std::vector<std::size_t> slot_offset(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    slot_offset[i + 1] = slot_offset[i] + scenario.graph.degree(i);
-  std::vector<std::size_t> last_heard(!async && ttl > 0 ? slot_offset[n] : 0,
-                                      0);
   // Quorum-gate state machine (see RobustnessConfig::quorum_patience):
   // armed from round one, disarms after `quorum_patience` consecutive
   // holds, re-arms on the next full quorum.
@@ -141,47 +106,25 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
   obs::PhaseTimer rounds_timer("particle.rounds");
   std::size_t iter = 0;
   for (; iter < config_.iteration.max_iterations; ++iter) {
-    if (async)
-      channel->begin_round();
-    else
-      sync_radio->begin_round();
+    transport.begin_round();
     std::size_t quorum_held = 0;
 
     // Reboot cold restart: the rebooted node re-draws its cloud from its
-    // prior (the RAM holding the refined particles is gone). Under the sync
-    // idealization the shared published snapshots stay readable with a TTL
-    // grace; the async channel has already wiped its inbox and history.
-    // Every-round publishing re-seeds neighbors from the next round on.
-    if (async) {
-      for (const std::uint32_t r : async_radio->rebooted_this_round()) {
-        if (acts_anchor[r]) continue;
-        belief[r] = ParticleSet::from_prior(prior_of(r), k_particles,
-                                            work_rng);
-        prev_mean[r] = belief[r].mean();
-        if (!quorum_armed.empty()) {
-          quorum_armed[r] = 1;
-          quorum_streak[r] = 0;
-        }
-        obs::count("particle.reboots");
+    // prior (the RAM holding the refined particles is gone) and its
+    // published clouds are cleared, so under sync a dropped delivery from it
+    // serves nothing until it has published twice. Every-round publishing
+    // re-seeds neighbors from the next round on.
+    for (const std::uint32_t r : transport.rebooted()) {
+      if (acts_anchor[r]) continue;
+      belief[r] = ParticleSet::from_prior(prior_of(r), k_particles,
+                                          work_rng);
+      prev_mean[r] = belief[r].mean();
+      transport.reset(r, 0, {});
+      if (!quorum_armed.empty()) {
+        quorum_armed[r] = 1;
+        quorum_streak[r] = 0;
       }
-    } else if (!scenario.faults.reboot_round.empty()) {
-      for (std::size_t r = 0; r < n; ++r) {
-        if (!sync_radio->just_rebooted(r) || acts_anchor[r]) continue;
-        belief[r] = ParticleSet::from_prior(prior_of(r), k_particles,
-                                            work_rng);
-        prev_mean[r] = belief[r].mean();
-        cur_pub[r].clear();
-        prev_pub[r].clear();
-        cur_spread[r] = prev_spread[r] = 1e30;
-        if (!last_heard.empty())
-          for (std::size_t s = slot_offset[r]; s < slot_offset[r + 1]; ++s)
-            last_heard[s] = iter + 1;
-        if (!quorum_armed.empty()) {
-          quorum_armed[r] = 1;
-          quorum_streak[r] = 0;
-        }
-        obs::count("particle.reboots");
-      }
+      obs::count("particle.reboots");
     }
 
     // Publish: every node broadcasts a subsample of its cloud each round
@@ -189,59 +132,31 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
     // constant-duty-cycle NBP protocol). A crashed node's published cloud
     // freezes at its last alive state.
     for (std::size_t u = 0; u < n; ++u) {
-      if (radio_crashed(u)) continue;
+      if (transport.crashed(u)) continue;
       const auto idx =
           belief[u].subsample(config_.message_subsample, work_rng);
-      if (async) {
-        ParticleSummary summary;
-        summary.pts.reserve(idx.size());
-        for (std::size_t p : idx) summary.pts.push_back(belief[u].point(p));
-        summary.spread = belief[u].covariance().rms_radius();
-        const std::size_t bytes = summary.pts.size() * 8;
-        channel->publish(u, iter + 1, std::move(summary), bytes);
-        continue;
-      }
-      prev_pub[u] = std::move(cur_pub[u]);
-      prev_spread[u] = cur_spread[u];
-      cur_pub[u].clear();
-      cur_pub[u].reserve(idx.size());
-      for (std::size_t p : idx) cur_pub[u].push_back(belief[u].point(p));
-      cur_spread[u] = belief[u].covariance().rms_radius();
-      sync_radio->record_broadcast(u, cur_pub[u].size() * 8);
+      ParticleSummary summary;
+      summary.pts.reserve(idx.size());
+      for (std::size_t p : idx) summary.pts.push_back(belief[u].point(p));
+      summary.spread = belief[u].covariance().rms_radius();
+      const std::size_t bytes = summary.pts.size() * 8;
+      transport.publish(u, iter + 1, std::move(summary), bytes);
     }
 
     // Update: refresh part of the cloud, then reweight against messages.
-    // `k` is the neighbor's index in `to`'s CSR list (for the TTL slot).
-    const auto usable_cloud =
-        [&](std::size_t from, std::size_t to,
-            std::size_t k) -> const std::vector<Vec2>* {
-      if (async) {
-        const std::size_t slot = slot_offset[to] + k;
-        if (!channel->has(slot)) return nullptr;
-        if (ttl > 0 && iter + 1 - channel->heard_round(slot) > ttl)
-          return nullptr;
-        const ParticleSummary& s = channel->payload(slot);
-        if (s.pts.empty() || s.spread > spread_gate) return nullptr;
-        return &s.pts;
-      }
-      const bool fresh = sync_radio->delivered(from, to);
-      if (ttl > 0) {
-        std::size_t& heard = last_heard[slot_offset[to] + k];
-        if (fresh) heard = iter + 1;
-        // Neighbor silent beyond the TTL: presumed dead, cloud retired.
-        else if (iter + 1 - heard > ttl)
-          return nullptr;
-      }
-      const std::vector<Vec2>& cloud = fresh ? cur_pub[from] : prev_pub[from];
-      const double spread = fresh ? cur_spread[from] : prev_spread[from];
-      if (cloud.empty() || spread > spread_gate) return nullptr;
-      return &cloud;
+    // `k` is the neighbor's index in `to`'s CSR list.
+    const auto usable_cloud = [&](std::size_t to,
+                                  std::size_t k) -> const std::vector<Vec2>* {
+      const ParticleSummary* s = transport.input(transport.slot(to, k)).payload;
+      if (s == nullptr || s->pts.empty() || s->spread > spread_gate)
+        return nullptr;
+      return &s->pts;
     };
     double mean_motion = 0.0;
     std::size_t unknowns = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (acts_anchor[i]) continue;
-      if (radio_crashed(i)) continue;  // dead nodes stop computing too
+      if (transport.crashed(i)) continue;  // dead nodes stop computing too
       ParticleSet& b = belief[i];
       const auto nbs = scenario.graph.neighbors(i);
 
@@ -252,13 +167,10 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       // (diffuse priors: every cloud is wider than the spread gate, so
       // nobody counts as usable): after `quorum_patience` consecutive
       // holds the gate disarms until a full quorum is next observed.
-      // (usable_cloud's sync TTL bookkeeping is idempotent, so probing it
-      // here and reading it again below is safe — and a held node still
-      // records this round's deliveries.)
       if (quorum > 0.0 && !nbs.empty()) {
         std::size_t usable = 0;
         for (std::size_t kk = 0; kk < nbs.size(); ++kk)
-          if (usable_cloud(nbs[kk].node, i, kk) != nullptr) ++usable;
+          if (usable_cloud(i, kk) != nullptr) ++usable;
         const bool met = static_cast<double>(usable) >=
                          quorum * static_cast<double>(nbs.size());
         if (met) {
@@ -290,7 +202,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       }
       for (std::size_t r = 0; r < n_ring; ++r) {
         const std::size_t kk = work_rng.uniform_index(nbs.size());
-        const std::vector<Vec2>* cloud = usable_cloud(nbs[kk].node, i, kk);
+        const std::vector<Vec2>* cloud = usable_cloud(i, kk);
         if (!cloud) continue;
         const Vec2 y = (*cloud)[work_rng.uniform_index(cloud->size())];
         const double noisy_r = std::max(
@@ -305,7 +217,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       for (std::size_t p = 0; p < pts.size(); ++p) {
         double w = prior_of(i).density(pts[p]) + 1e-12;
         for (std::size_t kk = 0; kk < nbs.size(); ++kk) {
-          const std::vector<Vec2>* cloud = usable_cloud(nbs[kk].node, i, kk);
+          const std::vector<Vec2>* cloud = usable_cloud(i, kk);
           if (!cloud) continue;
           double msg = 0.0;
           for (const Vec2& y : *cloud)
@@ -340,23 +252,12 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       for (std::size_t i = 0; i < n; ++i)
         if (!scenario.is_anchor[i]) traced_estimates[i] = prev_mean[i];
       obs::RobustActivity robust;
-      if (async) {
-        std::size_t stale = 0;
-        if (ttl > 0)
-          for (std::size_t s = 0; s < slot_offset[n]; ++s)
-            if (channel->has(s) && iter + 1 - channel->heard_round(s) > ttl)
-              ++stale;
-        robust.stale_links = stale;
-        robust.crashed_nodes = async_radio->crashed_count();
-      } else {
-        robust.stale_links = obs::stale_link_count(
-            last_heard, iter + 1, config_.robustness.stale_ttl);
-        robust.crashed_nodes = sync_radio->crashed_count();
-      }
+      robust.stale_links = transport.stale_links();
+      robust.crashed_nodes = transport.crashed_count();
       robust.anchors_demoted = anchors_demoted;
       robust.quorum_held = quorum_held;
       obs::record_round(scenario, iter + 1, avg_motion, traced_estimates,
-                        radio_stats(), robust);
+                        transport.stats(), robust);
     }
     if (avg_motion < config_.iteration.convergence_tol && quorum_held == 0 &&
         iter >= 2) {
@@ -375,8 +276,8 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
     result.covariances[i] = belief[i].covariance();
   }
   result.iterations = iter;
-  result.comm = radio_stats();
-  if (async) result.transport_hash = async_radio->event_hash();
+  result.comm = transport.stats();
+  result.transport_hash = transport.hash();
   result.seconds = watch.seconds();
   return result;
 }

@@ -61,11 +61,6 @@ std::size_t SyncRadio::link_slot(std::size_t from, std::size_t to) const {
   return it->second;
 }
 
-bool SyncRadio::crashed(std::size_t node) const noexcept {
-  if (death_rounds_.empty() || round_ <= death_rounds_[node]) return false;
-  return reboot_rounds_.empty() || round_ < reboot_rounds_[node];
-}
-
 std::size_t SyncRadio::crashed_count() const noexcept {
   std::size_t dead = 0;
   for (std::size_t u = 0; u < death_rounds_.size(); ++u)

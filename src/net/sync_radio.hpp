@@ -52,9 +52,21 @@ class SyncRadio {
   /// neighbors; non-neighbors never hear each other. Stable within a round.
   [[nodiscard]] bool delivered(std::size_t from, std::size_t to) const;
 
+  /// delivered(from, to) addressed by the link's receiver-side CSR slot
+  /// (slot offsets[to] + k carries `to`'s k-th neighbor, `from`): O(1), no
+  /// map lookup — the form the per-slot reads on the engines' hot path use.
+  [[nodiscard]] bool delivered_slot(std::size_t from,
+                                    std::size_t slot) const noexcept {
+    if (crashed(from)) return false;
+    return loss_ <= 0.0 || delivered_[slot] != 0;
+  }
+
   /// Has `node` crashed as of the current round (i.e. its broadcasts are no
   /// longer delivered)?
-  [[nodiscard]] bool crashed(std::size_t node) const noexcept;
+  [[nodiscard]] bool crashed(std::size_t node) const noexcept {
+    if (death_rounds_.empty() || round_ <= death_rounds_[node]) return false;
+    return reboot_rounds_.empty() || round_ < reboot_rounds_[node];
+  }
 
   /// Nodes crashed as of the current round (telemetry: the trace's
   /// crashed_nodes column). 0 when no crash schedule was given.

@@ -92,13 +92,4 @@ void record_round(const Scenario& scenario, std::size_t round,
   t->trace.record(round, residual, mean_error, localized, cumulative, robust);
 }
 
-std::size_t stale_link_count(std::span<const std::size_t> last_heard,
-                             std::size_t round, std::size_t ttl) noexcept {
-  if (ttl == 0) return 0;
-  std::size_t stale = 0;
-  for (const std::size_t heard : last_heard)
-    if (round - heard > ttl) ++stale;
-  return stale;
-}
-
 }  // namespace bnloc::obs

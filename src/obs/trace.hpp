@@ -36,8 +36,9 @@ struct RobustActivity {
   /// Links whose observation noise was inflated this round (Huber/IRLS
   /// downweighting in the Gaussian engine).
   std::size_t links_downweighted = 0;
-  /// Directed links whose last delivery is older than the stale-belief TTL
-  /// (the neighbor is presumed dead and its summary retired).
+  /// Directed links holding a summary not heard for more than the
+  /// stale-belief TTL (the neighbor is presumed dead and its summary
+  /// retired); see Transport::stale_links.
   std::size_t stale_links = 0;
   /// Anchors demoted to wide-prior unknowns by residual vetting (constant
   /// over the run: vetting happens once, up front).
@@ -116,12 +117,5 @@ void record_round(const Scenario& scenario, std::size_t round,
                   std::span<const std::optional<Vec2>> estimates,
                   const CommStats& cumulative,
                   const RobustActivity& robust = {});
-
-/// Directed links whose last delivery round is older than the TTL at
-/// `round` — the trace's `stale_links` column. Mirrors the engines' retire
-/// predicate (`round - last_heard > ttl`); 0 when the TTL is off.
-[[nodiscard]] std::size_t stale_link_count(
-    std::span<const std::size_t> last_heard, std::size_t round,
-    std::size_t ttl) noexcept;
 
 }  // namespace bnloc::obs

@@ -1,6 +1,6 @@
 // Property tests for the event-driven unreliable radio
-// (net/async_radio.hpp), the payload channel on top of it
-// (net/summary_channel.hpp), and the engines' async degradation ladder.
+// (net/async_radio.hpp) and the engines' async degradation ladder. The
+// payload side of the async transport is covered in test_transport.cpp.
 #include "net/async_radio.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "core/particle_bncl.hpp"
 #include "eval/metrics.hpp"
 #include "fault/fault.hpp"  // kNeverCrashes
-#include "net/summary_channel.hpp"
 
 namespace bnloc {
 namespace {
@@ -319,36 +318,6 @@ TEST(AsyncRadio, RebootClearsReceiverStateAndReportsTheNode) {
   for (std::size_t s = radio.incoming_begin(0); s < radio.incoming_end(0);
        ++s)
     EXPECT_GT(radio.accepted_seq(s), 5u);
-}
-
-TEST(SummaryChannel, BindsPayloadsAndSurvivesRelay) {
-  const Graph g = triangle();
-  AsyncRadioConfig cfg;
-  cfg.loss = 0.0;
-  cfg.latency = 0.1;
-  const std::vector<std::size_t> deaths = {2, kNeverCrashes, kNeverCrashes};
-  const std::vector<std::size_t> reboots = {5, kNeverCrashes, kNeverCrashes};
-  AsyncRadio radio(g, cfg, Rng(3), deaths, reboots);
-  SummaryChannel<int> channel(g, radio);
-  channel.begin_round();  // round 1
-  channel.publish(1, 1, 111, 4);
-  channel.begin_round();  // round 2: node 0 hears neighbor 1's payload
-  const std::size_t slot01 = radio.slot(0, 0);  // node 0's first neighbor
-  ASSERT_EQ(radio.sender_of(slot01), 1u);
-  ASSERT_TRUE(channel.has(slot01));
-  EXPECT_EQ(channel.payload(slot01), 111);
-  channel.begin_round();  // 3 (node 0 dead)
-  channel.begin_round();  // 4
-  channel.begin_round();  // 5: reboot wipes node 0's inbox
-  EXPECT_FALSE(channel.has(slot01));
-  // Warm re-entry: neighbor 1 relays its newest summary to the rebooted
-  // node, which accepts it next round despite 1 having published nothing
-  // new since round 1.
-  channel.relay(1, 0, 4);
-  channel.begin_round();  // 6
-  ASSERT_TRUE(channel.has(slot01));
-  EXPECT_EQ(channel.payload(slot01), 111);
-  EXPECT_EQ(channel.history_misses(), 0u);
 }
 
 // ---------------------------------------------------------------------------

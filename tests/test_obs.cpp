@@ -166,14 +166,6 @@ TEST(ConvergenceTrace, BeginResetsRowsAndBaseline) {
   EXPECT_EQ(trace.rows()[0].msgs_sent, 10u);
 }
 
-TEST(StaleLinkCount, CountsSlotsBeyondTtl) {
-  const std::vector<std::size_t> last_heard = {5, 1, 0, 4};
-  // round 5, ttl 3: stale iff 5 - heard > 3, i.e. heard < 2 -> slots 1, 2.
-  EXPECT_EQ(obs::stale_link_count(last_heard, 5, 3), 2u);
-  EXPECT_EQ(obs::stale_link_count(last_heard, 5, 0), 0u);  // ttl off
-  EXPECT_EQ(obs::stale_link_count({}, 5, 3), 0u);
-}
-
 // --- Engine integration ---------------------------------------------------
 
 ScenarioConfig small_config() {

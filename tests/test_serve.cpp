@@ -315,6 +315,47 @@ TEST(BatchService, InvalidRequestsEmitFailureLinesWithoutStoppingTheBatch) {
   EXPECT_EQ(service.last_batch().failed, 1u);
 }
 
+// Single-request batches that used to trip an engine or radio assertion and
+// abort the whole service: each must stream one ok=false line that names
+// the offending knob.
+TEST(BatchService, EngineInvariantViolationsFailTheRequestNotTheProcess) {
+  struct Case {
+    const char* engine_config;
+    const char* field;
+  };
+  const Case cases[] = {
+      {R"({"grid_side": 6})", "grid_side"},
+      {R"({"pyramid_levels": 0})", "pyramid_levels"},
+      {R"({"update_quorum": 2.0})", "update_quorum"},
+      {R"({"packet_loss": 1.0})", "packet_loss"},
+      {R"({"async": true, "loss": 1.0})", "loss"},
+  };
+  BatchService service(ServeConfig{.threads = 1});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.engine_config);
+    const std::string text =
+        std::string(R"({"id": "r", "engine_config": )") + c.engine_config +
+        "}";
+    JsonValue v;
+    ASSERT_TRUE(parse_json(text, v, nullptr));
+    ServeRequest req;
+    std::string error;
+    ASSERT_TRUE(parse_serve_request(v, req, &error)) << error;
+    std::vector<std::string> lines;
+    (void)service.run_batch({req},
+                            [&](const ServeResponse&, std::string_view line) {
+                              lines.emplace_back(line);
+                            });
+    ASSERT_EQ(lines.size(), 1u);
+    JsonValue out;
+    ASSERT_TRUE(parse_json(lines[0], out, nullptr));
+    EXPECT_FALSE(out.find("ok")->flag);
+    ASSERT_NE(out.find("error"), nullptr);
+    EXPECT_NE(out.find("error")->str.find(c.field), std::string::npos)
+        << out.find("error")->str;
+  }
+}
+
 // --- Cross-tenant kernel sharing --------------------------------------------
 
 TEST(BatchService, TenantsWithOverlappingDistancesShareTheGlobalCache) {
