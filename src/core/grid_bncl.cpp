@@ -133,6 +133,9 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       ++anchors_demoted;
     }
   }
+  const auto prior_of = [&](std::size_t i) -> const PositionPrior& {
+    return demoted_prior[i] ? *demoted_prior[i] : *scenario.priors[i];
+  };
   const RangingSpec ranging =
       config_.robustness.robust_likelihood
           ? scenario.radio.ranging.contaminated(
@@ -233,11 +236,15 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   std::vector<std::uint32_t> quorum_streak(quorum > 0.0 ? n : 0, 0);
 
   // --- Cross-level belief state -------------------------------------------
-  // The current beliefs and the last-published dense copies carry across
-  // level switches (upsampled); everything else per level is rebuilt.
-  std::optional<BeliefStore> belief_opt, last_pub_opt;
+  // The current beliefs carry across level switches (upsampled to locate
+  // the next level's ROI); everything else per level is rebuilt. Every
+  // per-node store holds node i's slot over its ROI box `roi[i]`.
+  std::optional<BeliefStore> belief_opt;
   std::vector<CellBox> roi(n);
   GridShape cur_shape{scenario.field, plan.sides.front()};
+  // Dense side² scratch for the consumers that need a whole-grid belief
+  // (estimates, the level switch's upsample, level-0 prior masking).
+  std::vector<double> dense_scratch, coarse_scratch;
 
   // Per-node TV change, folded in node order after the sweep so the
   // convergence trace is bit-identical at any thread count; negative means
@@ -266,12 +273,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   const auto emit_estimates = [&]() {
     for (std::size_t i = 0; i < n; ++i) {
       if (scenario.is_anchor[i]) continue;
-      result.estimates[i] =
-          config_.map_estimate
-              ? beliefops::argmax(cur_shape, (*belief_opt)[i])
-              : beliefops::mean(cur_shape, (*belief_opt)[i]);
-      result.covariances[i] =
-          beliefops::covariance(cur_shape, (*belief_opt)[i]);
+      const std::span<const double> b = belief_opt->dense(i, dense_scratch);
+      result.estimates[i] = config_.map_estimate
+                                ? beliefops::argmax(cur_shape, b)
+                                : beliefops::mean(cur_shape, b);
+      result.covariances[i] = beliefops::covariance(cur_shape, b);
     }
   };
 
@@ -298,8 +304,10 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                   "grid.pyramid.l%zu.cell_visits", lvl);
 
     // --- Belief state at this level ---------------------------------------
-    // Flat SoA arenas: node i's mass is a contiguous slice of one buffer per
-    // role (current / staged / prior / last-published), not its own vector.
+    // Flat SoA arenas: one buffer per role (current / staged / prior /
+    // last-published / cached product), node i's slot a row-major slice
+    // over its ROI box — so the level's memory follows the summed ROI
+    // cells, not nodes × side². A full box is the dense layout.
     //
     // Level switch (lvl > 0) — restart semantics. Every node's belief is
     // resampled to the new resolution (mass-conserving) but only to *locate*
@@ -316,9 +324,9 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     // Published summaries are translated receiver-locally — each receiver
     // already holds the payload and knows both discretizations, so no radio
     // traffic is metered — which also keeps crashed nodes' frozen last
-    // broadcasts usable. The last-published dense copy restarts at zero:
-    // once the warm-up (kLevelWarmupRounds) ends, the re-broadcast TV gate
-    // sees a full-mass change and every alive informative node re-announces
+    // broadcasts usable. The last-published copy restarts at zero: once the
+    // warm-up (kLevelWarmupRounds) ends, the re-broadcast TV gate sees a
+    // full-mass change and every alive informative node re-announces
     // itself at the new resolution. The translation is a stopgap for what a
     // receiver already heard (and all a crashed node can ever offer), not a
     // substitute for a sharp fine-grid broadcast — gating the re-announce
@@ -326,57 +334,65 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     // accuracy (nodes whose refinement lands within the tolerance stay
     // quiet forever and their neighbors keep multiplying blurred coarse
     // summaries). Anchors restart from the exact delta at the new
-    // resolution and re-announce it immediately.
-    BeliefStore prior_grid(shape, n);
-    {
-      BeliefStore next_belief(shape, n);
-      BeliefStore next_last_pub(shape, n);
-      std::vector<double> up(lvl > 0 ? cells : 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (acts_anchor[i]) {
-          beliefops::set_delta(shape, prior_grid[i],
-                               scenario.anchor_position(i));
-          roi[i] = CellBox::full(side);
-        } else if (lvl == 0) {
-          beliefops::set_from_prior(
-              shape, prior_grid[i],
-              demoted_prior[i] ? *demoted_prior[i] : *scenario.priors[i]);
-          // Pyramid runs bound even the first level by the *prior's* own
-          // support — pre-knowledge is exactly the license to skip cells
-          // the prior already rules out (a belief rebuilt as
-          // prior × messages keeps ≲1e-6 relative mass there regardless).
-          // An uninformative prior yields a full box and changes nothing;
-          // levels == 1 keeps the historical full-grid sweep bit for bit.
-          if (n_levels > 1) {
-            roi[i] = beliefops::support_box(prior_grid[i], side,
-                                            kRoiPeakFraction)
-                         .dilated(config_.pyramid_roi_margin, side);
-            if (!roi[i].is_full(side))
-              beliefops::mask_in(prior_grid[i], side, roi[i]);
-          } else {
-            roi[i] = CellBox::full(side);
-          }
-        } else {
-          upsample_belief(prev_shape, (*belief_opt)[i], shape, up);
-          roi[i] = beliefops::support_box(up, side, kRoiPeakFraction)
-                       .dilated(config_.pyramid_roi_margin, side);
-          beliefops::set_from_prior_in(
-              shape, prior_grid[i],
-              demoted_prior[i] ? *demoted_prior[i] : *scenario.priors[i],
-              roi[i]);
-        }
-        copy_belief(prior_grid[i], next_belief[i]);
+    // resolution — their ROI is that one cell — and re-announce it
+    // immediately.
+    //
+    // Pass 1 finds every node's ROI box, so each arena below is allocated
+    // once at its exact size; pass 2 rasterizes the level's prior into it.
+    // Pyramid level 0 reads the box off the prior's own raster and keeps
+    // the masked, packed result for pass 2 instead of rasterizing twice.
+    std::vector<double> level0_prior;
+    if (n_levels > 1) dense_scratch.resize(cells);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (acts_anchor[i]) {
+        roi[i] = CellBox::at(shape.cell_at(scenario.anchor_position(i)), side);
+      } else if (n_levels == 1) {
+        roi[i] = CellBox::full(side);  // the historical full-grid sweep
+      } else if (lvl == 0) {
+        // Pyramid runs bound even the first level by the *prior's* own
+        // support — pre-knowledge is exactly the license to skip cells the
+        // prior already rules out (a belief rebuilt as prior × messages
+        // keeps ≲1e-6 relative mass there regardless). An uninformative
+        // prior yields a full box and changes nothing.
+        beliefops::set_from_prior(shape, dense_scratch, prior_of(i));
+        roi[i] = beliefops::support_box(dense_scratch, side, kRoiPeakFraction)
+                     .dilated(config_.pyramid_roi_margin, side);
+        beliefops::mask_in(dense_scratch, side, roi[i]);
+        level0_prior.resize(level0_prior.size() + roi[i].cell_count());
+        beliefops::copy_in(
+            ConstBoxView::dense(dense_scratch, side, roi[i]),
+            BoxView::packed(std::span(level0_prior).last(roi[i].cell_count()),
+                            side, roi[i]));
+      } else {
+        upsample_belief(prev_shape, belief_opt->dense(i, coarse_scratch),
+                        shape, dense_scratch);
+        roi[i] = beliefops::support_box(dense_scratch, side, kRoiPeakFraction)
+                     .dilated(config_.pyramid_roi_margin, side);
       }
-      // Every stored summary (senders' published ones, async send histories
-      // awaiting retried deliveries, receiver inboxes) is re-expressed on
-      // the new grid — receiver-locally, no radio traffic.
-      if (lvl > 0)
-        transport.transform([&](SparseBelief& s) {
-          s = upsample_summary(prev_shape, shape, s);
-        });
-      belief_opt.emplace(std::move(next_belief));
-      last_pub_opt.emplace(std::move(next_last_pub));
     }
+    BeliefStore prior_grid(shape, roi);
+    for (std::size_t i = 0, packed = 0; i < n; ++i) {
+      const std::span<double> slot = prior_grid[i];
+      if (acts_anchor[i]) {
+        slot[0] = 1.0;
+      } else if (n_levels == 1) {
+        beliefops::set_from_prior(shape, slot, prior_of(i));
+      } else if (lvl == 0) {
+        std::copy_n(level0_prior.begin() + static_cast<std::ptrdiff_t>(packed),
+                    slot.size(), slot.begin());
+        packed += slot.size();
+      } else {
+        beliefops::set_from_prior_in(shape, prior_grid.view(i), prior_of(i));
+      }
+    }
+    // Every stored summary (senders' published ones, async send histories
+    // awaiting retried deliveries, receiver inboxes) is re-expressed on the
+    // new grid — receiver-locally, no radio traffic.
+    if (lvl > 0)
+      transport.transform([&](SparseBelief& s) {
+        s = upsample_summary(prev_shape, shape, s);
+      });
+    belief_opt.emplace(prior_grid);
     {
       // The level's dense footprint: total ROI cells across the nodes that
       // actually update — the "pyramid cells per level" the P2 gate reads.
@@ -388,9 +404,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       obs::count("grid.pyramid.roi_cells", roi_cells);
     }
     BeliefStore& belief = *belief_opt;
-    BeliefStore& last_pub_dense = *last_pub_opt;
-    BeliefStore staged(shape, n);  // Jacobi double buffer
-    for (std::size_t i = 0; i < n; ++i) copy_belief(belief[i], staged[i]);
+    BeliefStore last_pub(shape, roi);
+    BeliefStore staged(belief);  // Jacobi double buffer
 
     // --- Precomputed kernels per directed CSR slot ------------------------
     // Kernels are pure functions of the measured distance (the spec and
@@ -447,25 +462,42 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             : RangeKernel();
 
     // --- Message reuse slots ----------------------------------------------
-    // One dense buffer per directed link / non-link, holding the last
-    // message computed for it and the summary version it came from. A
-    // message is a pure function of (kernel, summary), so replaying the
-    // stored copy is bit-identical to recomputing it. Degrades to recompute
-    // when the footprint would blow the configured budget. Rebuilt per
-    // level: a message computed at one resolution means nothing at another.
+    // One buffer per directed link / non-link, holding the last message
+    // computed for it and the summary version it came from. A message is a
+    // pure function of (kernel, summary), so replaying the stored copy is
+    // bit-identical to recomputing it. Only the receiver's ROI of a message
+    // is ever read, so each slot is packed to that box; receivers that act
+    // as anchors consume nothing and hold no cells. Degrades to recompute
+    // (counted in `grid.message_cache.degraded`) when the packed footprint
+    // would blow the configured budget. Rebuilt per level: a message
+    // computed at one resolution means nothing at another.
+    const std::size_t n_slots = n_links + n_nonlinks;
     bool reuse = config_.reuse_messages;
-    if (reuse) {
-      const std::size_t bytes = (n_links + n_nonlinks) * cells * sizeof(double);
-      if (bytes > config_.message_cache_mb * std::size_t{1024} * 1024)
-        reuse = false;
-    }
     std::optional<BeliefStore> msg_store;
     std::vector<std::uint64_t> msg_ver;   // version cached per slot; 0 = none
     std::vector<unsigned char> msg_skip;  // cached "message had no support"
     if (reuse) {
-      msg_store.emplace(shape, n_links + n_nonlinks);
-      msg_ver.assign(n_links + n_nonlinks, 0);
-      msg_skip.assign(n_links + n_nonlinks, 0);
+      std::vector<CellBox> slot_box(n_slots);  // anchors' slots stay empty
+      std::size_t msg_cells = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (acts_anchor[i]) continue;
+        for (std::size_t s = kernel_offset[i]; s < kernel_offset[i + 1]; ++s)
+          slot_box[s] = roi[i];
+        for (std::size_t s = nl_offset[i]; s < nl_offset[i + 1]; ++s)
+          slot_box[n_links + s] = roi[i];
+        msg_cells += (kernel_offset[i + 1] - kernel_offset[i] +
+                      nl_offset[i + 1] - nl_offset[i]) *
+                     roi[i].cell_count();
+      }
+      if (msg_cells * sizeof(double) >
+          config_.message_cache_mb * std::size_t{1024} * 1024) {
+        reuse = false;
+        obs::count("grid.message_cache.degraded");
+      } else {
+        msg_store.emplace(shape, std::move(slot_box));
+        msg_ver.assign(n_slots, 0);
+        msg_skip.assign(n_slots, 0);
+      }
     }
 
     // Residual scheduling needs the message cache to replay deferred links
@@ -491,39 +523,36 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     std::vector<unsigned char> have_product;
     std::vector<std::uint64_t> in_sig;
     if (reuse_products) {
-      product.emplace(shape, n);
+      product.emplace(shape, roi);
       have_product.assign(n, 0);
-      in_sig.assign(n_links + n_nonlinks, kSigTtlSkip - 1);
+      in_sig.assign(n_slots, kSigTtlSkip - 1);
     }
+    obs::count("grid.state_bytes",
+               prior_grid.bytes() + belief.bytes() + staged.bytes() +
+                   last_pub.bytes() + (product ? product->bytes() : 0) +
+                   (msg_store ? msg_store->bytes() : 0));
 
+    // Per-thread message scratch for recompute mode: a slot-sized prefix
+    // holds node i's ROI-packed message.
     std::vector<double> msg(cells);
 
     // m(x) = 1 - P(link | x): cap at 1 (kernel overlap can exceed it
-    // slightly on coarse grids). Only the receiver's ROI rows are read
-    // downstream, so only they are transformed; element-wise, so the full
+    // slightly on coarse grids). Only the receiver's ROI cells are stored
+    // and read, so only they are transformed; element-wise, so the full
     // box is bit-identical to the historical whole-buffer loop.
-    const auto neg_transform = [side](std::span<double> buf,
-                                      const CellBox& box) {
-      const std::size_t w = box.width();
-      for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-        double* const row =
-            buf.data() + static_cast<std::size_t>(y) * side + box.x0;
+    const auto neg_transform = [](BoxView buf) {
+      const std::size_t w = buf.box.width();
+      for (std::int32_t y = buf.box.y0; y <= buf.box.y1; ++y) {
+        double* const row = buf.row(y);
         for (std::size_t t = 0; t < w; ++t)
           row[t] = std::max(0.0, 1.0 - std::min(row[t], 1.0));
       }
     };
-    // Clear a message buffer before a clipped replay: only the rows the
+    // Clear a message buffer before a replay: only the box cells the
     // replay may write (and downstream ops read) need zeroing.
-    const auto zero_in = [side](std::span<double> buf, const CellBox& box) {
-      if (box.is_full(side)) {
-        std::fill(buf.begin(), buf.end(), 0.0);
-        return;
-      }
-      for (std::int32_t y = box.y0; y <= box.y1; ++y)
-        std::fill_n(buf.begin() + static_cast<std::ptrdiff_t>(
-                                      static_cast<std::size_t>(y) * side +
-                                      static_cast<std::size_t>(box.x0)),
-                    box.width(), 0.0);
+    const auto zero_in = [](BoxView buf) {
+      for (std::int32_t y = buf.box.y0; y <= buf.box.y1; ++y)
+        std::fill_n(buf.row(y), buf.box.width(), 0.0);
     };
 
     // --- Level round budget -----------------------------------------------
@@ -560,7 +589,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         }
         copy_belief(prior_grid[r], belief[r]);
         copy_belief(prior_grid[r], staged[r]);
-        const std::span<double> lp = last_pub_dense[r];
+        const std::span<double> lp = last_pub[r];
         std::fill(lp.begin(), lp.end(), 0.0);
         transport.reset(r, 0, SparseBelief{});
         if (reuse_products) have_product[r] = 0;
@@ -609,8 +638,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       // published state freezes at its last alive summary — neighbors keep
       // using the copy they last received (until the TTL retires it).
       // Pass 1 (node-parallel): the re-broadcast TV gate, the sparsify, and
-      // the informative gate are all node-local, as is the dense
-      // last-published copy.
+      // the informative gate are all node-local, as is the last-published
+      // copy.
       const auto decide_publish = [&](std::size_t u,
                                       std::vector<std::uint32_t>& oscratch) {
         will_publish[u] = 0;
@@ -630,11 +659,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         // gate — evaluated first so a silent node never pays for the
         // sparsify. Decision-equivalent to gating on informativeness first:
         // either way a quiet node does not publish. All three dense steps
-        // (TV gate, sparsify, last-published copy) stay inside the node's
-        // ROI — both buffers are zero outside it.
+        // (TV gate, sparsify, last-published copy) run over the node's ROI
+        // slots.
         if (ever_published && !force_heartbeat) {
-          const double tv = beliefops::total_variation_in(
-              belief[u], last_pub_dense[u], side, roi[u]);
+          const double tv =
+              beliefops::total_variation_in(belief.view(u), last_pub.view(u));
           if (tv <= config_.rebroadcast_tol) return;
           if (sched_enabled) pub_residual[u] = tv;
         } else if (sched_enabled) {
@@ -642,21 +671,18 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           // published copy when one exists, else full mass — a first
           // announcement is maximally newsworthy, so receivers never defer
           // their bootstrap.
-          pub_residual[u] =
-              ever_published
-                  ? beliefops::total_variation_in(belief[u],
-                                                  last_pub_dense[u], side,
-                                                  roi[u])
-                  : 1.0;
+          pub_residual[u] = ever_published
+                                ? beliefops::total_variation_in(
+                                      belief.view(u), last_pub.view(u))
+                                : 1.0;
         }
-        beliefops::sparsify_in(belief[u], side, roi[u], config_.support_mass,
-                               pub_cap, pub_candidate[u],
-                               oscratch);
+        beliefops::sparsify_in(belief.view(u), config_.support_mass, pub_cap,
+                               pub_candidate[u], oscratch);
         const bool informative =
             acts_anchor[u] ||
             pub_candidate[u].covered_fraction >= config_.informative_coverage;
         if (!informative) return;
-        beliefops::copy_in(belief[u], last_pub_dense[u], side, roi[u]);
+        copy_belief(belief[u], last_pub[u]);
         will_publish[u] = 1;
       };
       {
@@ -776,11 +802,13 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                                    std::vector<double>& scratch) {
         if (acts_anchor[i]) return;
         if (transport.crashed(i)) return;  // dead nodes stop computing too
-        const std::span<double> next = staged[i];
+        const BoxView next = staged.view(i);
+        const ConstBoxView cur = belief.view(i);
         const auto nbs = scenario.graph.neighbors(i);
-        const CellBox& box = roi[i];
         const std::uint64_t box_cells =
-            static_cast<std::uint64_t>(box.cell_count());
+            static_cast<std::uint64_t>(roi[i].cell_count());
+        // Recompute mode's message buffer, packed to this node's ROI.
+        const BoxView fresh = BoxView::packed(scratch, side, roi[i]);
         const std::size_t ttl = config_.robustness.stale_ttl;
 
         // Partial-neighborhood quorum: when most of the neighborhood is
@@ -864,14 +892,13 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         if (static_inputs) {
           ++node_prods_reused[i];
           node_cell_visits[i] += 3 * box_cells;  // replay + mix + residual
-          beliefops::copy_in((*product)[i], next, side, box);
-          beliefops::mix_in(next, belief[i], config_.damping, side, box);
-          node_change[i] =
-              beliefops::total_variation_in(next, belief[i], side, box);
+          copy_belief((*product)[i], staged[i]);
+          beliefops::mix_in(next, cur, config_.damping);
+          node_change[i] = beliefops::total_variation_in(next, cur);
           return;
         }
 
-        beliefops::copy_in(prior_grid[i], next, side, box);
+        copy_belief(prior_grid[i], staged[i]);
         node_cell_visits[i] += box_cells;  // prior copy
         for (std::size_t slot = kernel_offset[i]; slot < kernel_offset[i + 1];
              ++slot) {
@@ -886,8 +913,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                 !msg_skip[slot]) {
               ++node_msgs_reused[i];
               node_cell_visits[i] += box_cells;
-              beliefops::multiply_in(next, (*msg_store)[slot],
-                                     config_.message_floor, side, box);
+              beliefops::multiply_in(next, msg_store->view(slot),
+                                     config_.message_floor);
             }
             continue;
           }
@@ -899,18 +926,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           const SparseBelief& src = *src_ptr;
           if (src.empty()) continue;
           if (reuse) {
-            const std::span<double> cached = (*msg_store)[slot];
+            const BoxView cached = msg_store->view(slot);
             if (msg_ver[slot] == ver) {
               ++node_msgs_reused[i];
               if (!msg_skip[slot]) {
                 node_cell_visits[i] += box_cells;
-                beliefops::multiply_in(next, cached, config_.message_floor,
-                                       side, box);
+                beliefops::multiply_in(next, cached, config_.message_floor);
               }
               continue;
             }
-            const double peak =
-                link_kernel[slot]->correlate(src, cached, side, &box);
+            const double peak = link_kernel[slot]->correlate(src, cached);
             msg_ver[slot] = ver;
             ++node_msgs_computed[i];
             node_kernel_cells[i] +=
@@ -922,19 +947,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             }
             msg_skip[slot] = 0;
             node_cell_visits[i] += box_cells;
-            beliefops::multiply_in(next, cached, config_.message_floor, side,
-                                   box);
+            beliefops::multiply_in(next, cached, config_.message_floor);
           } else {
-            const double peak =
-                link_kernel[slot]->correlate(src, scratch, side, &box);
+            const double peak = link_kernel[slot]->correlate(src, fresh);
             ++node_msgs_computed[i];
             node_kernel_cells[i] +=
                 static_cast<std::uint64_t>(src.cells.size()) *
                 link_kernel[slot]->stamp_count();
             if (peak <= 0.0) continue;
             node_cell_visits[i] += box_cells;
-            beliefops::multiply_in(next, scratch, config_.message_floor, side,
-                                   box);
+            beliefops::multiply_in(next, fresh, config_.message_floor);
           }
         }
         if (config_.use_negative_evidence) {
@@ -951,8 +973,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                 if (msg_ver[dslot] != 0 && msg_ver[dslot] == in_sig[dslot]) {
                   ++node_msgs_reused[i];
                   node_cell_visits[i] += box_cells;
-                  beliefops::multiply_in(next, (*msg_store)[dslot],
-                                         config_.message_floor, side, box);
+                  beliefops::multiply_in(next, msg_store->view(dslot),
+                                         config_.message_floor);
                 }
                 continue;
               }
@@ -971,48 +993,44 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             const SparseBelief& src = *src_ptr;
             if (reuse) {
               const std::size_t slot = n_links + nl_offset[i] + k;
-              const std::span<double> cached = (*msg_store)[slot];
+              const BoxView cached = msg_store->view(slot);
               if (msg_ver[slot] == ver) {
                 ++node_msgs_reused[i];
                 node_cell_visits[i] += box_cells;
-                beliefops::multiply_in(next, cached, config_.message_floor,
-                                       side, box);
+                beliefops::multiply_in(next, cached, config_.message_floor);
                 continue;
               }
-              zero_in(cached, box);
-              conn_kernel.accumulate(src, cached, side, &box);
-              neg_transform(cached, box);
+              zero_in(cached);
+              conn_kernel.accumulate(src, cached);
+              neg_transform(cached);
               msg_ver[slot] = ver;
               ++node_msgs_computed[i];
               node_kernel_cells[i] +=
                   static_cast<std::uint64_t>(src.cells.size()) *
                   conn_kernel.stamp_count();
               node_cell_visits[i] += box_cells;
-              beliefops::multiply_in(next, cached, config_.message_floor,
-                                     side, box);
+              beliefops::multiply_in(next, cached, config_.message_floor);
             } else {
-              zero_in(scratch, box);
-              conn_kernel.accumulate(src, scratch, side, &box);
-              neg_transform(scratch, box);
+              zero_in(fresh);
+              conn_kernel.accumulate(src, fresh);
+              neg_transform(fresh);
               ++node_msgs_computed[i];
               node_kernel_cells[i] +=
                   static_cast<std::uint64_t>(src.cells.size()) *
                   conn_kernel.stamp_count();
               node_cell_visits[i] += box_cells;
-              beliefops::multiply_in(next, scratch, config_.message_floor,
-                                     side, box);
+              beliefops::multiply_in(next, fresh, config_.message_floor);
             }
           }
         }
         if (reuse_products) {
           // pre-damping: replayable as-is
-          beliefops::copy_in(next, (*product)[i], side, box);
+          copy_belief(staged[i], (*product)[i]);
           have_product[i] = 1;
           node_cell_visits[i] += box_cells;
         }
-        beliefops::mix_in(next, belief[i], config_.damping, side, box);
-        node_change[i] =
-            beliefops::total_variation_in(next, belief[i], side, box);
+        beliefops::mix_in(next, cur, config_.damping);
+        node_change[i] = beliefops::total_variation_in(next, cur);
         node_cell_visits[i] += 2 * box_cells;  // mix + residual
       };
 
@@ -1070,7 +1088,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           for (std::size_t i = begin; i < end; ++i)
             if (!acts_anchor[i] && !transport.crashed(i) &&
                 !node_quorum_held[i])
-              beliefops::copy_in(staged[i], belief[i], side, roi[i]);
+              copy_belief(staged[i], belief[i]);
         };
         if (pool)
           parallel_for_chunks(*pool, n, commit_chunk);

@@ -138,11 +138,16 @@ struct GridBnclConfig {
   /// Reuse a link's incoming message verbatim while the sender's published
   /// summary is unchanged (rebroadcast suppression already tracks this) —
   /// the message is a pure function of (kernel, summary), so recomputing it
-  /// every round is wasted work. Costs one dense grid per directed link.
+  /// every round is wasted work. Costs one buffer per directed link (and
+  /// non-link), packed to the receiver's region of interest.
   bool reuse_messages = true;
-  /// Upper bound on the message-reuse buffers; when a scenario's
-  /// links × cells footprint exceeds it, reuse silently degrades to
-  /// recompute (correct, just slower) instead of ballooning memory.
+  /// Upper bound on the message-reuse buffers, per level. The budget counts
+  /// ROI-packed bytes — each slot holds the receiver's ROI cells, and
+  /// receivers that act as anchors hold none — so a pyramid level costs
+  /// its summed ROI cells, not links × side². A level whose packed
+  /// footprint exceeds the budget degrades to recompute (correct, just
+  /// slower; the residual scheduler degrades with it) and is counted in
+  /// the `grid.message_cache.degraded` obs counter.
   std::size_t message_cache_mb = 256;
 
   /// Worker threads for the node-parallel phases within a round (the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/simd.hpp"
@@ -139,112 +140,86 @@ double total_variation(std::span<const double> a, std::span<const double> b) {
 
 namespace {
 
-/// Uniform over the box cells only (outside left untouched — callers keep
-/// it zero).
-void set_uniform_in(std::span<double> mass, std::size_t side,
-                    const CellBox& box) noexcept {
-  const double v = 1.0 / static_cast<double>(box.cell_count());
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    double* const row = mass.data() + static_cast<std::size_t>(y) * side;
-    for (std::int32_t x = box.x0; x <= box.x1; ++x) row[x] = v;
-  }
+/// Uniform over the box cells only (outside a dense buffer left untouched —
+/// callers keep it zero).
+void set_uniform_in(BoxView mass) noexcept {
+  const double v = 1.0 / static_cast<double>(mass.box.cell_count());
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    std::fill_n(mass.row(y), mass.box.width(), v);
 }
 
 }  // namespace
 
-void multiply_in(std::span<double> mass, std::span<const double> factor,
-                 double floor, std::size_t side, const CellBox& box) {
-  if (box.is_full(side)) {
-    multiply(mass, factor, floor);
+void multiply_in(BoxView mass, ConstBoxView factor, double floor) {
+  BNLOC_ASSERT(factor.box == mass.box && factor.side == mass.side,
+               "factor grid shape mismatch");
+  if (mass.full()) {
+    multiply(mass.whole(), factor.whole(), floor);
     return;
   }
-  BNLOC_ASSERT(factor.size() == mass.size(), "factor grid shape mismatch");
-  BNLOC_ASSERT(!box.empty(), "multiply_in needs a non-empty box");
-  const std::size_t w = box.width();
+  BNLOC_ASSERT(!mass.box.empty(), "multiply_in needs a non-empty box");
+  const std::size_t w = mass.box.width();
   double total = 0.0;
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    total += simd::mul_add_floor_sum(mass.data() + off, factor.data() + off,
-                                     floor, w);
-  }
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    total += simd::mul_add_floor_sum(mass.row(y), factor.row(y), floor, w);
   if (total <= 0.0) {
-    set_uniform_in(mass, side, box);
+    set_uniform_in(mass);
     return;
   }
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    simd::div_all(mass.data() + off, total, w);
-  }
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    simd::div_all(mass.row(y), total, w);
 }
 
-void normalize_in(std::span<double> mass, std::size_t side,
-                  const CellBox& box) noexcept {
-  if (box.is_full(side)) {
-    normalize(mass);
+void normalize_in(BoxView mass) noexcept {
+  if (mass.full()) {
+    normalize(mass.whole());
     return;
   }
-  const std::size_t w = box.width();
+  const std::size_t w = mass.box.width();
   double total = 0.0;
-  for (std::int32_t y = box.y0; y <= box.y1; ++y)
-    total += simd::sum(mass.data() + static_cast<std::size_t>(y) * side +
-                           static_cast<std::size_t>(box.x0),
-                       w);
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    total += simd::sum(mass.row(y), w);
   if (total <= 0.0) {
-    set_uniform_in(mass, side, box);
+    set_uniform_in(mass);
     return;
   }
-  for (std::int32_t y = box.y0; y <= box.y1; ++y)
-    simd::div_all(mass.data() + static_cast<std::size_t>(y) * side +
-                      static_cast<std::size_t>(box.x0),
-                  total, w);
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    simd::div_all(mass.row(y), total, w);
 }
 
-void mix_in(std::span<double> mass, std::span<const double> previous,
-            double lambda, std::size_t side, const CellBox& box) noexcept {
-  if (box.is_full(side)) {
-    mix(mass, previous, lambda);
+void mix_in(BoxView mass, ConstBoxView previous, double lambda) noexcept {
+  BNLOC_ASSERT(previous.box == mass.box && previous.side == mass.side,
+               "damping needs same-box beliefs");
+  if (mass.full()) {
+    mix(mass.whole(), previous.whole(), lambda);
     return;
   }
-  const std::size_t w = box.width();
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    simd::mix(mass.data() + off, previous.data() + off, lambda, w);
-  }
+  const std::size_t w = mass.box.width();
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    simd::mix(mass.row(y), previous.row(y), lambda, w);
 }
 
-double total_variation_in(std::span<const double> a,
-                          std::span<const double> b, std::size_t side,
-                          const CellBox& box) {
-  if (box.is_full(side)) return total_variation(a, b);
-  BNLOC_ASSERT(a.size() == b.size(),
-               "total variation needs same-shape beliefs");
-  const std::size_t w = box.width();
+double total_variation_in(ConstBoxView a, ConstBoxView b) {
+  BNLOC_ASSERT(a.box == b.box && a.side == b.side,
+               "total variation needs same-box beliefs");
+  if (a.full()) return total_variation(a.whole(), b.whole());
+  const std::size_t w = a.box.width();
   double l1 = 0.0;
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    l1 += simd::l1_diff(a.data() + off, b.data() + off, w);
-  }
+  for (std::int32_t y = a.box.y0; y <= a.box.y1; ++y)
+    l1 += simd::l1_diff(a.row(y), b.row(y), w);
   return 0.5 * l1;
 }
 
-void copy_in(std::span<const double> from, std::span<double> to,
-             std::size_t side, const CellBox& box) noexcept {
-  if (box.is_full(side)) {
-    copy_belief(from, to);
+void copy_in(ConstBoxView from, BoxView to) noexcept {
+  BNLOC_ASSERT(from.box == to.box && from.side == to.side,
+               "belief copy needs same-box views");
+  if (to.full()) {
+    copy_belief(from.whole(), to.whole());
     return;
   }
-  const std::size_t w = box.width();
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    std::copy(from.begin() + static_cast<std::ptrdiff_t>(off),
-              from.begin() + static_cast<std::ptrdiff_t>(off + w),
-              to.begin() + static_cast<std::ptrdiff_t>(off));
-  }
+  const std::size_t w = to.box.width();
+  for (std::int32_t y = to.box.y0; y <= to.box.y1; ++y)
+    std::copy_n(from.row(y), w, to.row(y));
 }
 
 void mask_in(std::span<double> mass, std::size_t side, const CellBox& box) {
@@ -259,35 +234,34 @@ void mask_in(std::span<double> mass, std::size_t side, const CellBox& box) {
     std::fill(row, row + box.x0, 0.0);
     std::fill(row + box.x1 + 1, row + side, 0.0);
   }
-  normalize_in(mass, side, box);
+  normalize_in(BoxView::dense(mass, side, box));
 }
 
-void set_from_prior_in(const GridShape& shape, std::span<double> mass,
-                       const PositionPrior& prior, const CellBox& box) {
-  if (box.is_full(shape.side)) {
-    set_from_prior(shape, mass, prior);
+void set_from_prior_in(const GridShape& shape, BoxView mass,
+                       const PositionPrior& prior) {
+  BNLOC_ASSERT(mass.side == shape.side, "mass buffer shape mismatch");
+  if (mass.full()) {
+    set_from_prior(shape, mass.whole(), prior);
     return;
   }
-  BNLOC_ASSERT(mass.size() == shape.cell_count(), "mass buffer shape mismatch");
-  BNLOC_ASSERT(!box.empty(), "set_from_prior_in needs a non-empty box");
-  const std::size_t side = shape.side;
+  BNLOC_ASSERT(!mass.box.empty(), "set_from_prior_in needs a non-empty box");
+  const std::size_t w = mass.box.width();
   double total = 0.0;
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * side;
-    for (std::int32_t x = box.x0; x <= box.x1; ++x) {
-      const std::size_t c = row + static_cast<std::size_t>(x);
-      mass[c] = prior.density(shape.cell_center(c));
-      total += mass[c];
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y) {
+    double* const row = mass.row(y);
+    const std::size_t first = static_cast<std::size_t>(y) * shape.side +
+                              static_cast<std::size_t>(mass.box.x0);
+    for (std::size_t t = 0; t < w; ++t) {
+      row[t] = prior.density(shape.cell_center(first + t));
+      total += row[t];
     }
   }
   if (total <= 0.0) {
-    set_uniform_in(mass, side, box);
+    set_uniform_in(mass);
     return;
   }
-  for (std::int32_t y = box.y0; y <= box.y1; ++y)
-    simd::div_all(mass.data() + static_cast<std::size_t>(y) * side +
-                      static_cast<std::size_t>(box.x0),
-                  total, box.width());
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    simd::div_all(mass.row(y), total, w);
 }
 
 CellBox support_box(std::span<const double> mass, std::size_t side,
@@ -313,9 +287,10 @@ CellBox support_box(std::span<const double> mass, std::size_t side,
 
 namespace {
 
-/// Shared tail of sparsify: partial-sort the candidate cell ids already in
-/// `order_scratch` by descending mass, keep until the fraction or cap.
-void select_top(std::span<const double> mass, double mass_fraction,
+/// Shared tail of sparsify: partial-sort the candidate offsets into `mass`
+/// already in `order_scratch` by descending mass, keep until the fraction
+/// or cap. `out.cells` receives the kept offsets.
+void select_top(const double* mass, double mass_fraction,
                 std::size_t max_cells, SparseBelief& out,
                 std::vector<std::uint32_t>& order_scratch) {
   const std::size_t keep_at_most = std::min(max_cells, order_scratch.size());
@@ -352,29 +327,31 @@ void sparsify_into(std::span<const double> mass, double mass_fraction,
   // fraction (or the cap) is reached.
   order_scratch.resize(mass.size());
   std::iota(order_scratch.begin(), order_scratch.end(), 0U);
-  select_top(mass, mass_fraction, max_cells, out, order_scratch);
+  select_top(mass.data(), mass_fraction, max_cells, out, order_scratch);
 }
 
-void sparsify_in(std::span<const double> mass, std::size_t side,
-                 const CellBox& box, double mass_fraction,
+void sparsify_in(ConstBoxView mass, double mass_fraction,
                  std::size_t max_cells, SparseBelief& out,
                  std::vector<std::uint32_t>& order_scratch) {
-  if (box.is_full(side)) {
-    sparsify_into(mass, mass_fraction, max_cells, out, order_scratch);
+  if (mass.full()) {
+    sparsify_into(mass.whole(), mass_fraction, max_cells, out,
+                  order_scratch);
     return;
   }
   BNLOC_ASSERT(mass_fraction > 0.0 && mass_fraction <= 1.0,
                "mass fraction out of range");
-  BNLOC_ASSERT(!box.empty(), "sparsify_in needs a non-empty box");
+  BNLOC_ASSERT(!mass.box.empty(), "sparsify_in needs a non-empty box");
+  // Candidates are offsets from the first box row, in row-major box order.
   order_scratch.clear();
-  order_scratch.reserve(box.cell_count());
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const auto row = static_cast<std::uint32_t>(y) *
-                     static_cast<std::uint32_t>(side);
-    for (std::int32_t x = box.x0; x <= box.x1; ++x)
-      order_scratch.push_back(row + static_cast<std::uint32_t>(x));
-  }
-  select_top(mass, mass_fraction, max_cells, out, order_scratch);
+  order_scratch.reserve(mass.box.cell_count());
+  const auto w = static_cast<std::uint32_t>(mass.box.width());
+  const auto stride = static_cast<std::uint32_t>(mass.stride);
+  for (std::uint32_t r = 0; r < mass.box.height(); ++r)
+    for (std::uint32_t t = 0; t < w; ++t)
+      order_scratch.push_back(r * stride + t);
+  select_top(mass.rows, mass_fraction, max_cells, out, order_scratch);
+  for (std::uint32_t& cell : out.cells)
+    cell = static_cast<std::uint32_t>(mass.cell_at_offset(cell));
 }
 
 }  // namespace beliefops
@@ -382,6 +359,24 @@ void sparsify_in(std::span<const double> mass, std::size_t side,
 void copy_belief(std::span<const double> from, std::span<double> to) noexcept {
   BNLOC_ASSERT(from.size() == to.size(), "belief copy shape mismatch");
   std::copy(from.begin(), from.end(), to.begin());
+}
+
+BeliefStore::BeliefStore(const GridShape& shape, std::vector<CellBox> boxes)
+    : shape_(shape), boxes_(std::move(boxes)) {
+  offset_.reserve(boxes_.size() + 1);
+  offset_.push_back(0);
+  for (const CellBox& box : boxes_)
+    offset_.push_back(offset_.back() + box.cell_count());
+  data_.assign(offset_.back(), 0.0);
+}
+
+std::span<const double> BeliefStore::dense(
+    std::size_t i, std::vector<double>& scratch) const {
+  const ConstBoxView slot = view(i);
+  if (slot.full()) return slot.whole();
+  scratch.assign(shape_.cell_count(), 0.0);
+  beliefops::copy_in(slot, BoxView::dense(scratch, shape_.side, slot.box));
+  return scratch;
 }
 
 GridBelief::GridBelief(const Aabb& field, std::size_t cells_per_side)

@@ -1,14 +1,19 @@
 // Dense 2-D grid probability mass function over the deployment field.
 //
-// Layered in three pieces so the grid engine can run on flat SoA storage
-// while the convenient single-belief class keeps working:
+// Layered in pieces so the grid engine can run on flat SoA storage while
+// the convenient single-belief class keeps working:
 //
 //  * GridShape — the geometry of a discretization (field rectangle + cells
 //    per side), separated from any storage;
+//  * CellBox / BoxView — a box of cells and the row addressing of a belief
+//    restricted to it, over either storage layout (dense side² buffer or
+//    ROI-packed slice);
 //  * beliefops — the numeric kernels, free functions over contiguous
-//    `std::span<double>` mass buffers (multiply, damp, moments, sparsify);
-//  * BeliefStore — one flat arena holding many beliefs of the same shape
-//    (node i's mass is a contiguous slice; no per-belief heap allocation);
+//    `std::span<double>` mass buffers (multiply, damp, moments, sparsify)
+//    and their BoxView-restricted `_in` spellings;
+//  * BeliefStore — one flat arena holding many beliefs on one grid (slot i
+//    is a contiguous row-major slice over its own CellBox; no per-belief
+//    heap allocation);
 //  * GridBelief — the single-belief convenience wrapper (shape + its own
 //    vector), implemented entirely on beliefops so both storage layouts
 //    share one set of bit-identical numerics.
@@ -20,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -96,10 +102,76 @@ struct CellBox {
     const auto s = static_cast<std::int32_t>(side);
     return {0, s - 1, 0, s - 1};
   }
+  /// The single cell `cell` of a `side`-wide grid.
+  [[nodiscard]] static CellBox at(std::size_t cell, std::size_t side) noexcept {
+    const auto x = static_cast<std::int32_t>(cell % side);
+    const auto y = static_cast<std::int32_t>(cell / side);
+    return {x, x, y, y};
+  }
   /// Grown by `margin` cells on every edge, clipped to the grid.
   [[nodiscard]] CellBox dilated(std::int32_t margin,
                                 std::size_t side) const noexcept;
+
+  friend bool operator==(const CellBox&, const CellBox&) = default;
 };
+
+/// Row addressing of a belief restricted to a CellBox on a `side`-wide
+/// grid: one view over both storage layouts. Grid row y of the box
+/// (box.y0 <= y <= box.y1) starts at `rows + (y - box.y0) * stride` and
+/// holds the cells of columns box.x0..box.x1.
+///  * Dense layout (a side² buffer): `rows` points at cell (x0, y0) and
+///    stride = side.
+///  * ROI-packed layout (a BeliefStore slot): `rows` points at the slice
+///    and stride = box.width().
+/// Over a full box the two layouts are the same side² contiguous cells, and
+/// every `_in` op hands that buffer to its whole-buffer form.
+template <typename T>
+struct BasicBoxView {
+  T* rows = nullptr;
+  std::size_t stride = 0;
+  CellBox box;
+  std::size_t side = 0;
+
+  BasicBoxView() = default;
+  BasicBoxView(T* first_row, std::size_t row_stride, const CellBox& cells,
+               std::size_t grid_side) noexcept
+      : rows(first_row), stride(row_stride), box(cells), side(grid_side) {}
+  /// A mutable view reads as a const one.
+  template <typename U>
+    requires(std::is_same_v<const U, T> && !std::is_same_v<U, T>)
+  BasicBoxView(const BasicBoxView<U>& v) noexcept
+      : rows(v.rows), stride(v.stride), box(v.box), side(v.side) {}
+
+  /// `box` inside a dense side² buffer.
+  [[nodiscard]] static BasicBoxView dense(std::span<T> mass, std::size_t side,
+                                          const CellBox& box) noexcept {
+    return {mass.data() + static_cast<std::size_t>(box.y0) * side +
+                static_cast<std::size_t>(box.x0),
+            side, box, side};
+  }
+  /// `box` packed row-major into `slice` (box.cell_count() cells).
+  [[nodiscard]] static BasicBoxView packed(std::span<T> slice,
+                                           std::size_t side,
+                                           const CellBox& box) noexcept {
+    return {slice.data(), box.width(), box, side};
+  }
+
+  [[nodiscard]] T* row(std::int32_t y) const noexcept {
+    return rows + static_cast<std::size_t>(y - box.y0) * stride;
+  }
+  [[nodiscard]] bool full() const noexcept { return box.is_full(side); }
+  /// The side² buffer behind a full box (meaningless otherwise).
+  [[nodiscard]] std::span<T> whole() const noexcept {
+    return {rows, side * side};
+  }
+  /// Grid cell id of the cell `offset` elements past `rows`.
+  [[nodiscard]] std::size_t cell_at_offset(std::size_t offset) const noexcept {
+    return (static_cast<std::size_t>(box.y0) + offset / stride) * side +
+           static_cast<std::size_t>(box.x0) + offset % stride;
+  }
+};
+using BoxView = BasicBoxView<double>;
+using ConstBoxView = BasicBoxView<const double>;
 
 /// Numeric kernels over contiguous mass buffers. Every function asserts the
 /// buffer sizes it needs; none allocates (sparsify_into reuses caller
@@ -107,10 +179,12 @@ struct CellBox {
 ///
 /// The dense loops route through the runtime-dispatched SIMD primitives in
 /// support/simd.hpp; with `BNLOC_SIMD=off` they reproduce the historical
-/// scalar loops bit for bit. The `_in` variants restrict work to a CellBox
+/// scalar loops bit for bit. The `_in` variants restrict work to a BoxView
 /// under the caller-guaranteed invariant that the mass outside the box is
-/// exactly zero; a full box delegates to the whole-buffer form, so the two
-/// spellings are bit-identical there.
+/// exactly zero. A full box hands the whole buffer to the whole-buffer form
+/// (its SIMD lane sums run across rows); a partial box hands each row to
+/// the same primitive with the row's length, so the dense and the packed
+/// layout of one box give the same bits.
 namespace beliefops {
 
 /// Reset to the uniform distribution.
@@ -162,42 +236,37 @@ void sparsify_into(std::span<const double> mass, double mass_fraction,
 double peak(std::span<const double> mass) noexcept;
 
 // --- Box-restricted variants (pyramid ROI) -------------------------------
-// Caller invariant: mass outside `box` is exactly zero. Each delegates to
-// the whole-buffer form when the box covers the grid.
+// Caller invariant: mass outside the box is exactly zero. Binary ops need
+// both views over the same box (either layout each).
 
 /// Pointwise multiply inside the box (factor + floor), renormalizing over
 /// the box. Falls back to uniform-in-box if the box mass vanishes.
-void multiply_in(std::span<double> mass, std::span<const double> factor,
-                 double floor, std::size_t side, const CellBox& box);
+void multiply_in(BoxView mass, ConstBoxView factor, double floor);
 
 /// Renormalize over the box (uniform-in-box fallback).
-void normalize_in(std::span<double> mass, std::size_t side,
-                  const CellBox& box) noexcept;
+void normalize_in(BoxView mass) noexcept;
 
 /// Damping restricted to the box: mass = (1-lambda)*mass + lambda*previous.
-void mix_in(std::span<double> mass, std::span<const double> previous,
-            double lambda, std::size_t side, const CellBox& box) noexcept;
+void mix_in(BoxView mass, ConstBoxView previous, double lambda) noexcept;
 
-/// Half L1 distance when both buffers are zero outside the box.
-[[nodiscard]] double total_variation_in(std::span<const double> a,
-                                        std::span<const double> b,
-                                        std::size_t side, const CellBox& box);
+/// Half L1 distance when both beliefs are zero outside the box.
+[[nodiscard]] double total_variation_in(ConstBoxView a, ConstBoxView b);
 
-/// Copy the box rows of `from` onto `to` (outside the box `to` is
-/// untouched; callers keep it zero).
-void copy_in(std::span<const double> from, std::span<double> to,
-             std::size_t side, const CellBox& box) noexcept;
+/// Copy the box cells of `from` onto `to` — packs or unpacks when the
+/// layouts differ (outside the box a dense `to` is untouched; callers keep
+/// it zero).
+void copy_in(ConstBoxView from, BoxView to) noexcept;
 
-/// Zero everything outside the box, renormalize inside (uniform-in-box
-/// fallback). Used to mask a level's prior to a node's ROI.
+/// Zero everything outside the box of a dense buffer, renormalize inside
+/// (uniform-in-box fallback). Used to mask a level's prior to a node's ROI.
 void mask_in(std::span<double> mass, std::size_t side, const CellBox& box);
 
 /// Rasterize a prior inside the box only (density at cell centers,
-/// normalized over the box; uniform-in-box fallback). Caller keeps the
-/// outside zero — equivalent to set_from_prior + mask_in without paying
-/// for the cells the mask would discard.
-void set_from_prior_in(const GridShape& shape, std::span<double> mass,
-                       const PositionPrior& prior, const CellBox& box);
+/// normalized over the box; uniform-in-box fallback) — equivalent to
+/// set_from_prior + mask_in without paying for the cells the mask would
+/// discard.
+void set_from_prior_in(const GridShape& shape, BoxView mass,
+                       const PositionPrior& prior);
 
 /// Bounding box of cells with mass >= peak * peak_fraction. Full grid when
 /// the buffer has no positive mass.
@@ -206,44 +275,64 @@ void set_from_prior_in(const GridShape& shape, std::span<double> mass,
                                   double peak_fraction) noexcept;
 
 /// sparsify_into restricted to the box: only box cells are candidates for
-/// the partial sort. With the zero-outside invariant the selected set is
-/// the same as the whole-grid scan's (ties aside), at box cost.
-void sparsify_in(std::span<const double> mass, std::size_t side,
-                 const CellBox& box, double mass_fraction,
+/// the partial sort, offered in row-major box order in either layout (the
+/// tie order of the sort depends on that sequence). With the zero-outside
+/// invariant the selected set is the same as the whole-grid scan's (ties
+/// aside), at box cost. `out.cells` holds grid cell ids.
+void sparsify_in(ConstBoxView mass, double mass_fraction,
                  std::size_t max_cells, SparseBelief& out,
                  std::vector<std::uint32_t>& order_scratch);
 
 }  // namespace beliefops
 
-/// Flat SoA arena for `count` same-shape beliefs: one contiguous buffer,
-/// belief i at [i*cells, (i+1)*cells). The grid engine keeps its four
-/// per-node belief sets (current, staged, prior, last-published) in stores
-/// instead of vectors of GridBelief, so a 200-node run touches four
-/// allocations instead of eight hundred.
+/// Flat SoA arena of beliefs on one grid: one contiguous buffer, slot i a
+/// row-major slice over its own CellBox (box.width() × box.height() cells;
+/// an empty box holds none). The grid engine sizes every per-node and
+/// per-link slot to the receiving node's region of interest, so its memory
+/// follows the summed ROI cells, not slots × side². A store of full boxes
+/// is the dense layout: slot i at [i·side², (i+1)·side²).
 class BeliefStore {
  public:
+  /// `count` slots over the whole grid.
   BeliefStore(const GridShape& shape, std::size_t count)
-      : shape_(shape),
-        cells_(shape.cell_count()),
-        data_(count * shape.cell_count(), 0.0) {}
+      : BeliefStore(shape,
+                    std::vector<CellBox>(count, CellBox::full(shape.side))) {}
+  /// One zero-filled slot per box.
+  BeliefStore(const GridShape& shape, std::vector<CellBox> boxes);
 
   [[nodiscard]] const GridShape& shape() const noexcept { return shape_; }
-  [[nodiscard]] std::size_t count() const noexcept {
-    return cells_ ? data_.size() / cells_ : 0;
+  [[nodiscard]] std::size_t count() const noexcept { return boxes_.size(); }
+  /// Bytes of belief mass held (the arena, not the bookkeeping).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return data_.size() * sizeof(double);
   }
-  [[nodiscard]] std::size_t cells() const noexcept { return cells_; }
 
+  /// Slot i's cells, row-major over its box.
   [[nodiscard]] std::span<double> operator[](std::size_t i) noexcept {
-    return {data_.data() + i * cells_, cells_};
+    return {data_.data() + offset_[i], offset_[i + 1] - offset_[i]};
   }
   [[nodiscard]] std::span<const double> operator[](
       std::size_t i) const noexcept {
-    return {data_.data() + i * cells_, cells_};
+    return {data_.data() + offset_[i], offset_[i + 1] - offset_[i]};
   }
+  /// Slot i addressed by grid rows.
+  [[nodiscard]] BoxView view(std::size_t i) noexcept {
+    return BoxView::packed((*this)[i], shape_.side, boxes_[i]);
+  }
+  [[nodiscard]] ConstBoxView view(std::size_t i) const noexcept {
+    return ConstBoxView::packed((*this)[i], shape_.side, boxes_[i]);
+  }
+
+  /// Slot i as a dense side² belief, for consumers that need the whole
+  /// grid: the slot itself when its box is full, else unpacked into
+  /// `scratch` (zeros outside the box).
+  [[nodiscard]] std::span<const double> dense(
+      std::size_t i, std::vector<double>& scratch) const;
 
  private:
   GridShape shape_;
-  std::size_t cells_;
+  std::vector<CellBox> boxes_;
+  std::vector<std::size_t> offset_;  ///< slot i at [offset_[i], offset_[i+1])
   std::vector<double> data_;
 };
 

@@ -104,14 +104,19 @@ RangeKernel RangeKernel::make_connectivity(const RadioSpec& radio,
 }
 
 void RangeKernel::accumulate(const SparseBelief& src, std::span<double> out,
-                             std::size_t side, const CellBox* clip) const {
+                             std::size_t side) const {
   BNLOC_ASSERT(out.size() == side * side, "output grid shape mismatch");
+  accumulate(src, BoxView::dense(out, side, CellBox::full(side)));
+}
+
+void RangeKernel::accumulate(const SparseBelief& src, BoxView out) const {
+  const std::size_t side = out.side;
   const auto s = static_cast<std::int32_t>(side);
-  double* const grid = out.data();
   const double* const weights = weights_.data();
-  if (clip != nullptr && !clip->is_full(side)) {
+  if (!out.full()) {
     // ROI replay: every run is clipped against the box instead of the grid
     // border. The surviving slices are the same dense axpys, just shorter.
+    const CellBox& clip = out.box;
     for (std::size_t e = 0; e < src.cells.size(); ++e) {
       const auto cell = src.cells[e];
       const double m = src.mass[e];
@@ -119,19 +124,19 @@ void RangeKernel::accumulate(const SparseBelief& src, std::span<double> out,
       const auto cy = static_cast<std::int32_t>(cell / side);
       for (const Run& run : runs_) {
         const std::int32_t y = cy + run.dy;
-        if (y < clip->y0 || y > clip->y1) continue;
+        if (y < clip.y0 || y > clip.y1) continue;
         const std::int32_t x0 = cx + run.dx0;
-        const std::int32_t lo = std::max(x0, clip->x0);
+        const std::int32_t lo = std::max(x0, clip.x0);
         const std::int32_t hi = std::min(
-            x0 + static_cast<std::int32_t>(run.len), clip->x1 + 1);
+            x0 + static_cast<std::int32_t>(run.len), clip.x1 + 1);
         if (lo >= hi) continue;
-        simd::axpy(grid + static_cast<std::size_t>(y) * side + lo,
-                   weights + run.w0 + (lo - x0), m,
-                   static_cast<std::size_t>(hi - lo));
+        simd::axpy(out.row(y) + (lo - clip.x0), weights + run.w0 + (lo - x0),
+                   m, static_cast<std::size_t>(hi - lo));
       }
     }
     return;
   }
+  double* const grid = out.rows;
   const std::int32_t* const flat = flat_off_.data();
   const std::size_t stamps = weights_.size();
   const bool flat_usable = s == side_ && !flat_off_.empty();
@@ -185,23 +190,26 @@ void RangeKernel::accumulate(const SparseBelief& src, std::span<double> out,
 }
 
 double RangeKernel::correlate(const SparseBelief& src, std::span<double> out,
-                              std::size_t side, const CellBox* clip) const {
-  const bool clipped = clip != nullptr && !clip->is_full(side);
-  if (clipped) {
-    for (std::int32_t y = clip->y0; y <= clip->y1; ++y)
-      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(
-                                    static_cast<std::size_t>(y) * side +
-                                    static_cast<std::size_t>(clip->x0)),
-                  clip->width(), 0.0);
+                              std::size_t side) const {
+  BNLOC_ASSERT(out.size() == side * side, "output grid shape mismatch");
+  return correlate(src, BoxView::dense(out, side, CellBox::full(side)));
+}
+
+double RangeKernel::correlate(const SparseBelief& src, BoxView out) const {
+  const std::size_t side = out.side;
+  const CellBox& clip = out.box;
+  if (out.full()) {
+    std::fill(out.whole().begin(), out.whole().end(), 0.0);
   } else {
-    std::fill(out.begin(), out.end(), 0.0);
+    for (std::int32_t y = clip.y0; y <= clip.y1; ++y)
+      std::fill_n(out.row(y), clip.width(), 0.0);
   }
-  accumulate(src, out, side, clip);
+  accumulate(src, out);
   if (src.cells.empty() || weights_.empty()) return 0.0;
   // Bounding box of every touched cell: the summary's cell extent dilated
-  // by the kernel footprint, clipped to the grid (and to the ROI box when
-  // one is given). Normalization only needs to look here — everything
-  // outside is an exact zero (or, under a clip, never read downstream).
+  // by the kernel footprint, clipped to the view's box (the grid, or the
+  // ROI). Normalization only needs to look here — everything outside is an
+  // exact zero (or, under a partial box, never stored).
   const auto s = static_cast<std::int32_t>(side);
   std::int32_t cx_lo = s, cx_hi = -1, cy_lo = s, cy_hi = -1;
   for (const std::uint32_t cell : src.cells) {
@@ -212,27 +220,19 @@ double RangeKernel::correlate(const SparseBelief& src, std::span<double> out,
     cy_lo = std::min(cy_lo, cy);
     cy_hi = std::max(cy_hi, cy);
   }
-  const std::int32_t x0 =
-      std::max(cx_lo + min_dx_, clipped ? clip->x0 : std::int32_t{0});
-  const std::int32_t x1 = std::min(cx_hi + max_dx_, clipped ? clip->x1 : s - 1);
-  const std::int32_t y0 =
-      std::max(cy_lo + min_dy_, clipped ? clip->y0 : std::int32_t{0});
-  const std::int32_t y1 = std::min(cy_hi + max_dy_, clipped ? clip->y1 : s - 1);
+  const std::int32_t x0 = std::max(cx_lo + min_dx_, clip.x0);
+  const std::int32_t x1 = std::min(cx_hi + max_dx_, clip.x1);
+  const std::int32_t y0 = std::max(cy_lo + min_dy_, clip.y0);
+  const std::int32_t y1 = std::min(cy_hi + max_dy_, clip.y1);
   if (x0 > x1 || y0 > y1) return 0.0;
   const auto row_len = static_cast<std::size_t>(x1 - x0 + 1);
   double peak = 0.0;
   for (std::int32_t y = y0; y <= y1; ++y)
-    peak = std::max(
-        peak, beliefops::peak(out.subspan(
-                  static_cast<std::size_t>(y) * side +
-                      static_cast<std::size_t>(x0),
-                  row_len)));
+    peak = std::max(peak, beliefops::peak({out.row(y) + (x0 - clip.x0),
+                                           row_len}));
   if (peak <= 0.0) return 0.0;
-  for (std::int32_t y = y0; y <= y1; ++y) {
-    double* const row =
-        out.data() + static_cast<std::size_t>(y) * side + x0;
-    simd::div_all(row, peak, row_len);
-  }
+  for (std::int32_t y = y0; y <= y1; ++y)
+    simd::div_all(out.row(y) + (x0 - clip.x0), peak, row_len);
   return peak;
 }
 

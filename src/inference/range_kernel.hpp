@@ -54,26 +54,30 @@ class RangeKernel {
     return make_connectivity(radio, grid_shape.shape());
   }
 
-  /// Accumulate sum_y src(y) * K(x - y) into `out` (dense grid buffer, NOT
-  /// cleared here). `side` is the grid side length. With `clip` non-null
-  /// (pyramid ROI), only cells inside the box are written; the rest of
-  /// `out` is untouched. Inside the clip the values are bit-identical to an
-  /// unclipped replay — every output cell receives exactly one addition per
-  /// stamp regardless of how the runs are traversed.
+  /// Accumulate sum_y src(y) * K(x - y) into `out` (dense side² grid
+  /// buffer, NOT cleared here).
   void accumulate(const SparseBelief& src, std::span<double> out,
-                  std::size_t side, const CellBox* clip = nullptr) const;
+                  std::size_t side) const;
+  /// The same over a view: with a partial box (pyramid ROI) only cells
+  /// inside it are written, in either storage layout; a dense buffer's
+  /// cells outside are untouched. Inside the box the values are
+  /// bit-identical to an unclipped replay — every output cell receives
+  /// exactly one addition per stamp regardless of how the runs are
+  /// traversed.
+  void accumulate(const SparseBelief& src, BoxView out) const;
 
   /// The full BP message for a summary: clear `out`, correlate, normalize
   /// to peak 1. Returns the peak before normalization (0 = the summary put
   /// no mass in range — message carries no information). The peak scan and
   /// the division cover only the touched bounding box (summary extent
   /// dilated by the kernel footprint); untouched cells hold exact zeros, so
-  /// the result is bit-identical to whole-grid normalization. With `clip`
-  /// non-null the whole computation — clear, replay, peak, normalize — is
-  /// restricted to the box: only the box rows of `out` are meaningful
-  /// afterwards, and the returned peak is the in-box peak.
+  /// the result is bit-identical to whole-grid normalization.
   double correlate(const SparseBelief& src, std::span<double> out,
-                   std::size_t side, const CellBox* clip = nullptr) const;
+                   std::size_t side) const;
+  /// The same over a view: with a partial box the whole computation —
+  /// clear, replay, peak, normalize — is restricted to the box, and the
+  /// returned peak is the in-box peak.
+  double correlate(const SparseBelief& src, BoxView out) const;
 
   [[nodiscard]] std::size_t stamp_count() const noexcept {
     return weights_.size();

@@ -367,6 +367,26 @@ TEST(GridBncl, FastPathIsBitIdentical) {
     expect_same(run(s, cfg, true), run(s, cfg, false));
   }
   {
+    // Pyramid sides 21 and 42: rows and ROI widths are not multiples of 4,
+    // so the ROI-packed slots exercise every SIMD tail.
+    SCOPED_TRACE("pyramid, odd sides");
+    GridBnclConfig cfg;
+    cfg.grid_side = 42;
+    cfg.pyramid_levels = 2;
+    expect_same(run(s, cfg, true), run(s, cfg, false));
+  }
+  {
+    // Uninformative priors give full level-0 boxes inside a pyramid run.
+    SCOPED_TRACE("pyramid, no pre-knowledge");
+    ScenarioConfig scfg = default_config(40);
+    scfg.prior_quality = PriorQuality::none;
+    const Scenario su = build_scenario(scfg);
+    GridBnclConfig cfg;
+    cfg.grid_side = 42;
+    cfg.pyramid_levels = 2;
+    expect_same(run(su, cfg, true), run(su, cfg, false));
+  }
+  {
     SCOPED_TRACE("robustness stack");
     ScenarioConfig scfg = default_config(41);
     scfg.faults.crash_fraction = 0.1;

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
+#include <vector>
 
 namespace bnloc {
 namespace {
@@ -153,6 +157,64 @@ TEST(GridBelief, RectangularFieldCells) {
   // Cells are 0.2 x 0.1; geometry round trips.
   EXPECT_DOUBLE_EQ(b.cell_size(), 0.2);
   EXPECT_EQ(b.cell_at(b.cell_center(37)), 37u);
+}
+
+TEST(BeliefStore, SlotsAreSizedToTheirBoxes) {
+  const GridShape shape{Aabb::unit(), 12};
+  const CellBox roi{2, 4, 7, 8};  // 3 x 2
+  BeliefStore store(shape, {CellBox::full(12), roi, CellBox{},
+                            CellBox::at(5 * 12 + 6, 12)});
+  ASSERT_EQ(store.count(), 4u);
+  EXPECT_EQ(store[0].size(), 144u);
+  EXPECT_EQ(store[1].size(), 6u);
+  EXPECT_EQ(store[2].size(), 0u);  // an empty box holds no cells
+  EXPECT_EQ(store[3].size(), 1u);
+  EXPECT_EQ(store.view(3).box, (CellBox{6, 6, 5, 5}));
+  EXPECT_EQ(store.bytes(), 151 * sizeof(double));
+  // Grid row 8 of the ROI is the slot's second packed row.
+  EXPECT_EQ(store.view(1).row(8), store[1].data() + 3);
+  EXPECT_EQ(store.view(1).cell_at_offset(4), 8u * 12u + 3u);
+
+  // The count constructor is the all-full-box case: the dense layout.
+  const BeliefStore dense(shape, 2);
+  EXPECT_EQ(dense.view(1).box, CellBox::full(12));
+  EXPECT_EQ(dense[1].size(), 144u);
+}
+
+// Consumers that need a whole-grid belief (estimates, upsampling) unpack a
+// slot into a dense scratch: the unpacked buffer is the dense belief bit
+// for bit — zeros outside the box, nothing renormalized — so every
+// whole-grid reduction over it matches the dense layout exactly.
+TEST(BeliefStore, DenseUnpacksWithoutResumming) {
+  const GridShape shape{Aabb::unit(), 15};
+  const CellBox roi{3, 9, 5, 10};
+  std::vector<double> dense(shape.cell_count(), 0.0);
+  std::mt19937_64 gen(4);
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  for (std::int32_t y = roi.y0; y <= roi.y1; ++y)
+    for (std::int32_t x = roi.x0; x <= roi.x1; ++x)
+      dense[static_cast<std::size_t>(y) * 15 + static_cast<std::size_t>(x)] =
+          dist(gen);
+  beliefops::normalize(dense);
+
+  BeliefStore store(shape, {roi});
+  beliefops::copy_in(ConstBoxView::dense(dense, 15, roi), store.view(0));
+  std::vector<double> scratch;
+  const std::span<const double> unpacked = store.dense(0, scratch);
+  ASSERT_EQ(unpacked.size(), dense.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t c = 0; c < dense.size(); ++c)
+    ASSERT_EQ(bits(unpacked[c]), bits(dense[c])) << "cell " << c;
+  const Vec2 m0 = beliefops::mean(shape, dense);
+  const Vec2 m1 = beliefops::mean(shape, unpacked);
+  EXPECT_EQ(bits(m0.x), bits(m1.x));
+  EXPECT_EQ(bits(m0.y), bits(m1.y));
+  EXPECT_EQ(bits(beliefops::covariance(shape, dense).xy),
+            bits(beliefops::covariance(shape, unpacked).xy));
+
+  // A full-box slot is already dense: no copy.
+  BeliefStore full(shape, 1);
+  EXPECT_EQ(full.dense(0, scratch).data(), full[0].data());
 }
 
 }  // namespace

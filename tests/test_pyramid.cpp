@@ -3,6 +3,7 @@
 // single-resolution path.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "core/grid_bncl.hpp"
 #include "eval/metrics.hpp"
 #include "inference/pyramid.hpp"
+#include "obs/telemetry.hpp"
 
 namespace bnloc {
 namespace {
@@ -150,6 +152,57 @@ TEST(PyramidEngine, DeterministicGivenSeeds) {
     EXPECT_EQ(a.estimates[i]->x, b.estimates[i]->x);
     EXPECT_EQ(a.estimates[i]->y, b.estimates[i]->y);
   }
+}
+
+// `message_cache_mb` budgets the ROI-packed cache. A 200-node line-drop
+// world at grid 96 with two levels packs to at most 13 MB per level, while
+// the dense side² layout needs at least 69 MB: a 32 MB budget keeps reuse
+// on at both levels only when slots are sized to the receiver's ROI. A zero
+// budget degrades both levels to recompute, with bit-identical output.
+TEST(PyramidEngine, MessageCacheBudgetCountsRoiPackedBytes) {
+  ScenarioConfig scfg;
+  scfg.node_count = 200;
+  scfg.anchor_fraction = 0.08;
+  scfg.deployment.kind = DeploymentKind::line_drop;
+  scfg.anchor_placement = AnchorPlacement::random;
+  scfg.radio = make_radio(0.12, RangingType::log_normal, 0.10);
+  scfg.prior_quality = PriorQuality::exact;
+  scfg.seed = 17;
+  const Scenario s = build_scenario(scfg);
+  const auto run = [&](std::size_t budget_mb, obs::Telemetry& sink) {
+    GridBnclConfig cfg;
+    cfg.grid_side = 96;
+    cfg.pyramid_levels = 2;
+    cfg.message_cache_mb = budget_mb;
+    Rng rng(3);
+    const obs::TelemetryScope scope(&sink);
+    return GridBncl(cfg).localize(s, rng);
+  };
+
+  obs::Telemetry cached_sink, recompute_sink;
+  const LocalizationResult cached = run(32, cached_sink);
+  EXPECT_GT(cached_sink.registry.counter("grid.messages.reused"), 0u);
+  EXPECT_EQ(cached_sink.registry.counter("grid.message_cache.degraded"), 0u);
+
+  const LocalizationResult recompute = run(0, recompute_sink);
+  EXPECT_EQ(recompute_sink.registry.counter("grid.message_cache.degraded"),
+            2u);
+  EXPECT_EQ(recompute_sink.registry.counter("grid.messages.reused"), 0u);
+  EXPECT_LT(recompute_sink.registry.counter("grid.state_bytes"),
+            cached_sink.registry.counter("grid.state_bytes"));
+
+  ASSERT_EQ(cached.estimates.size(), recompute.estimates.size());
+  for (std::size_t i = 0; i < cached.estimates.size(); ++i) {
+    ASSERT_EQ(cached.estimates[i].has_value(),
+              recompute.estimates[i].has_value());
+    if (!cached.estimates[i]) continue;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.estimates[i]->x),
+              std::bit_cast<std::uint64_t>(recompute.estimates[i]->x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.estimates[i]->y),
+              std::bit_cast<std::uint64_t>(recompute.estimates[i]->y));
+  }
+  EXPECT_EQ(cached.change_per_iteration, recompute.change_per_iteration);
+  EXPECT_EQ(cached.iterations, recompute.iterations);
 }
 
 TEST(PyramidEngine, RejectsZeroLevels) {

@@ -12,13 +12,16 @@
 //    sides here are chosen to leave 1..3 remainder elements per lane width.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
 #include "core/grid_bncl.hpp"
 #include "inference/grid_belief.hpp"
+#include "inference/range_kernel.hpp"
 #include "support/simd.hpp"
 
 namespace bnloc {
@@ -207,8 +210,9 @@ TEST_F(SimdModes, BoxRestrictedOpsMatchWholeBufferOnOddSides) {
       std::vector<double> whole = inside, boxed = inside;
       beliefops::multiply(whole, factor, 1e-9);
       beliefops::normalize(whole);
-      beliefops::multiply_in(boxed, factor, 1e-9, side, box);
-      beliefops::normalize_in(boxed, side, box);
+      beliefops::multiply_in(BoxView::dense(boxed, side, box),
+                             ConstBoxView::dense(factor, side, box), 1e-9);
+      beliefops::normalize_in(BoxView::dense(boxed, side, box));
       for (std::int32_t y = box.y0; y <= box.y1; ++y)
         for (std::int32_t x = box.x0; x <= box.x1; ++x) {
           const std::size_t c = static_cast<std::size_t>(y) * side +
@@ -217,9 +221,167 @@ TEST_F(SimdModes, BoxRestrictedOpsMatchWholeBufferOnOddSides) {
               << "mode=" << static_cast<int>(m) << " side=" << side;
         }
       const double tv = beliefops::total_variation(whole, inside);
-      EXPECT_NEAR(tv, beliefops::total_variation_in(boxed, inside, side, box),
+      EXPECT_NEAR(tv,
+                  beliefops::total_variation_in(
+                      ConstBoxView::dense(boxed, side, box),
+                      ConstBoxView::dense(inside, side, box)),
                   1e-12 * (1.0 + tv))
           << "side=" << side;
+    }
+  }
+}
+
+// The ROI-packed layout must reproduce the dense layout bit for bit: a
+// partial box hands each row to the same primitive with the row's length in
+// both layouts, and a full box keeps the whole-buffer call — its 4-lane
+// sums run across rows, so a row-by-row sweep would round differently.
+// Box widths 1..9 leave every remainder of the 2- and 4-lane loops.
+TEST_F(SimdModes, PackedViewsMatchDenseViewsBitForBit) {
+  constexpr std::size_t side = 23;  // rows are not a multiple of 4 either
+  const GridShape shape{Aabb::unit(), side};
+  std::vector<CellBox> boxes;
+  for (std::int32_t w = 1; w <= 9; ++w)
+    boxes.push_back({3 + w, 3 + 2 * w - 1, 4, 4 + w % 4 + 1});
+  boxes.push_back(CellBox::full(side));
+
+  RangingSpec ranging;
+  ranging.type = RangingType::gaussian;
+  ranging.noise_factor = 0.1;
+  ranging.range = 0.3;
+  const RangeKernel kernel = RangeKernel::make_range(0.15, ranging, shape);
+  const GaussianPrior prior({0.45, 0.3}, 0.12, 0.05, {0.8, 0.6});
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  for (const CellBox& box : boxes) {
+    const std::size_t w = box.width();
+    // Dense buffers zero outside the box (the caller invariant); `ties`
+    // takes only eight distinct values, so the sparsify cap cuts through
+    // runs of equal mass and the candidate order decides which survive.
+    const std::vector<double> noise = random_buffer(side * side, 900 + w);
+    const std::vector<double> other = random_buffer(side * side, 950 + w);
+    std::vector<double> a(side * side, 0.0), b(side * side, 0.0),
+        ties(side * side, 0.0);
+    for (std::int32_t y = box.y0; y <= box.y1; ++y)
+      for (std::int32_t x = box.x0; x <= box.x1; ++x) {
+        const std::size_t c = static_cast<std::size_t>(y) * side +
+                              static_cast<std::size_t>(x);
+        a[c] = noise[c];
+        b[c] = other[c];
+        ties[c] = 1.0 + std::floor(noise[c] * 8.0);
+      }
+    const auto pack = [&](const std::vector<double>& dense) {
+      std::vector<double> slice(box.cell_count());
+      beliefops::copy_in(ConstBoxView::dense(dense, side, box),
+                         BoxView::packed(slice, side, box));
+      return slice;
+    };
+    // Same bits in the box, and the dense buffer still zero outside it.
+    const auto expect_same = [&](const std::vector<double>& dense,
+                                 const std::vector<double>& slice,
+                                 const char* op) {
+      for (std::size_t c = 0; c < side * side; ++c) {
+        const auto x = static_cast<std::int32_t>(c % side);
+        const auto y = static_cast<std::int32_t>(c / side);
+        if (x < box.x0 || x > box.x1 || y < box.y0 || y > box.y1) {
+          ASSERT_EQ(dense[c], 0.0) << op << " wrote outside the box";
+          continue;
+        }
+        const std::size_t k = static_cast<std::size_t>(y - box.y0) * w +
+                              static_cast<std::size_t>(x - box.x0);
+        ASSERT_EQ(bits(dense[c]), bits(slice[k]))
+            << op << " width=" << w << " mode="
+            << static_cast<int>(simd::active_mode());
+      }
+    };
+
+    for (const simd::Mode m : available_modes()) {
+      simd::set_mode(m);
+      const std::vector<double> pb = pack(b);
+      {
+        std::vector<double> d = a, p = pack(a);
+        beliefops::multiply_in(BoxView::dense(d, side, box),
+                               ConstBoxView::dense(b, side, box), 1e-4);
+        beliefops::multiply_in(BoxView::packed(p, side, box),
+                               ConstBoxView::packed(pb, side, box), 1e-4);
+        expect_same(d, p, "multiply_in");
+        if (box.is_full(side)) {
+          std::vector<double> whole = a;
+          beliefops::multiply(whole, b, 1e-4);
+          expect_same(whole, p, "multiply (whole buffer)");
+        }
+      }
+      {
+        std::vector<double> d = a, p = pack(a);
+        beliefops::normalize_in(BoxView::dense(d, side, box));
+        beliefops::normalize_in(BoxView::packed(p, side, box));
+        expect_same(d, p, "normalize_in");
+        if (box.is_full(side)) {
+          std::vector<double> whole = a;
+          beliefops::normalize(whole);
+          expect_same(whole, p, "normalize (whole buffer)");
+        }
+      }
+      {
+        std::vector<double> d = a, p = pack(a);
+        beliefops::mix_in(BoxView::dense(d, side, box),
+                          ConstBoxView::dense(b, side, box), 0.3);
+        beliefops::mix_in(BoxView::packed(p, side, box),
+                          ConstBoxView::packed(pb, side, box), 0.3);
+        expect_same(d, p, "mix_in");
+      }
+      {
+        const std::vector<double> pa = pack(a);
+        const double dense_tv = beliefops::total_variation_in(
+            ConstBoxView::dense(a, side, box),
+            ConstBoxView::dense(b, side, box));
+        EXPECT_EQ(bits(dense_tv), bits(beliefops::total_variation_in(
+                                      ConstBoxView::packed(pa, side, box),
+                                      ConstBoxView::packed(pb, side, box))))
+            << "total_variation_in width=" << w;
+        if (box.is_full(side))
+          EXPECT_EQ(bits(dense_tv),
+                    bits(beliefops::total_variation(a, b)));
+      }
+      {
+        std::vector<double> d(side * side, 0.0), p(box.cell_count());
+        beliefops::set_from_prior_in(shape, BoxView::dense(d, side, box),
+                                     prior);
+        beliefops::set_from_prior_in(shape, BoxView::packed(p, side, box),
+                                     prior);
+        expect_same(d, p, "set_from_prior_in");
+      }
+      {
+        const std::vector<double> pt = pack(ties);
+        SparseBelief sd, sp;
+        std::vector<std::uint32_t> scratch;
+        beliefops::sparsify_in(ConstBoxView::dense(ties, side, box), 1.0, 5,
+                               sd, scratch);
+        beliefops::sparsify_in(ConstBoxView::packed(pt, side, box), 1.0, 5,
+                               sp, scratch);
+        EXPECT_EQ(sd.cells, sp.cells) << "sparsify_in width=" << w;
+        EXPECT_EQ(sd.mass, sp.mass) << "sparsify_in width=" << w;
+        EXPECT_EQ(bits(sd.covered_fraction), bits(sp.covered_fraction));
+      }
+      {
+        // A summary straddling the box edge, so the replay clips.
+        SparseBelief src;
+        for (const std::uint32_t cell : {0U, 5U * 23U + 2U, 6U * 23U + 9U,
+                                         9U * 23U + 14U, 17U * 23U + 20U}) {
+          src.cells.push_back(cell);
+          src.mass.push_back(0.2F);
+        }
+        std::vector<double> d(side * side, 0.0), p(box.cell_count(), 7.0);
+        const double dense_peak =
+            kernel.correlate(src, BoxView::dense(d, side, box));
+        EXPECT_EQ(bits(dense_peak),
+                  bits(kernel.correlate(src, BoxView::packed(p, side, box))))
+            << "correlate width=" << w;
+        expect_same(d, p, "correlate");
+        std::vector<double> da = a, pa = pack(a);
+        kernel.accumulate(src, BoxView::dense(da, side, box));
+        kernel.accumulate(src, BoxView::packed(pa, side, box));
+        expect_same(da, pa, "accumulate");
+      }
     }
   }
 }
