@@ -14,8 +14,8 @@
 //     border check and scattered write — the seed implementation,
 //     reproduced below) vs the PR's scanline-run replay. Outputs are
 //     compared bit for bit; this is the ≥ 2× acceptance headline.
-//  C. whole engine — GridBncl with the fast path on (the default) vs off
-//     (cache_kernels = reuse_messages = false), comparing the telemetry
+//  C. whole engine — GridBncl with message reuse on (the default) vs off
+//     (reuse_messages = false), comparing the telemetry
 //     "grid.rounds" phase time and asserting every aggregate statistic of
 //     the two runs is exactly equal.
 #include "bench_common.hpp"
@@ -253,9 +253,8 @@ int main() {
 
   // --- C: whole engine, fast path on vs off -------------------------------
   {
-    GridBnclConfig fast_cfg;  // defaults: cache + reuse on
+    GridBnclConfig fast_cfg;  // default: reuse on
     GridBnclConfig slow_cfg;
-    slow_cfg.cache_kernels = false;
     slow_cfg.reuse_messages = false;
     const GridBncl fast_engine(fast_cfg);
     const GridBncl slow_engine(slow_cfg);

@@ -5,7 +5,7 @@
 
 #include <optional>
 
-#include "fault/anchor_vetting.hpp"
+#include "core/robustness.hpp"
 #include "inference/gaussian2d.hpp"
 #include "net/transport.hpp"
 #include "obs/telemetry.hpp"
@@ -29,36 +29,20 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   obs::count("gauss.runs");
   const obs::Span run_span("gauss.run");
 
-  // Anchor vetting: a flagged anchor keeps its reported mean but gets a
-  // radio-range-wide covariance and is re-estimated like an unknown, so its
-  // lie is softened instead of propagated at anchor confidence.
-  std::vector<unsigned char> acts_anchor(n, 0);
-  for (std::size_t i = 0; i < n; ++i) acts_anchor[i] = scenario.is_anchor[i];
-  std::size_t anchors_demoted = 0;
-  if (config_.robustness.anchor_vetting) {
-    const AnchorVetReport vet = vet_anchors(scenario);
-    for (std::size_t i = 0; i < n; ++i)
-      if (scenario.is_anchor[i] && vet.flagged[i]) {
-        acts_anchor[i] = 0;
-        ++anchors_demoted;
-      }
-  }
+  // Anchor vetting: a flagged anchor starts from its wide prior — its
+  // reported mean with a radio-range-wide covariance — and is re-estimated
+  // like an unknown, so its lie is softened instead of propagated at anchor
+  // confidence.
+  const AnchorRoles roles(scenario, config_.robustness);
 
   std::vector<Gaussian2> belief(n), prior(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (scenario.is_anchor[i] && !acts_anchor[i]) {
-      belief[i].mean = scenario.anchor_position(i);
-      belief[i].cov = Cov2::isotropic(scenario.radio.range *
-                                      scenario.radio.range);
-      prior[i] = belief[i];
-      continue;
-    }
-    if (acts_anchor[i]) {
+    if (roles.acts_anchor(i)) {
       belief[i].mean = scenario.anchor_position(i);
       belief[i].cov =
           Cov2::isotropic(config_.anchor_sigma * config_.anchor_sigma);
     } else {
-      const PositionPrior& p = *scenario.priors[i];
+      const PositionPrior& p = roles.prior(i);
       // An informative prior's mean is the best linearization point; for an
       // uninformative (uniform) prior, every node starting at the field
       // center makes all inter-node directions degenerate, so scatter the
@@ -80,13 +64,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   for (std::size_t u = 0; u < n; ++u) transport.reset(u, 1, belief[u]);
   // A Gaussian summary is mean + covariance: 5 floats = 20 bytes.
   constexpr std::size_t kPayloadBytes = 20;
-  const double quorum = config_.robustness.update_quorum;
-
-  // Quorum-gate state machine (see RobustnessConfig::quorum_patience):
-  // armed from round one, disarms after `quorum_patience` consecutive
-  // holds, re-arms on the next full quorum.
-  std::vector<unsigned char> quorum_armed(quorum > 0.0 ? n : 0, 1);
-  std::vector<std::uint32_t> quorum_streak(quorum > 0.0 ? n : 0, 0);
+  QuorumGate quorum(config_.robustness, n);
 
   std::vector<Gaussian2> staged = belief;
   std::vector<std::optional<Vec2>> traced_estimates;  // tracing only
@@ -107,14 +85,11 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
     // dropped delivery is the prior too. Every-round publishing re-seeds
     // neighbors from this round on.
     for (const std::uint32_t r : transport.rebooted()) {
-      if (acts_anchor[r]) continue;
+      if (roles.acts_anchor(r)) continue;
       belief[r] = prior[r];
       staged[r] = prior[r];
       transport.reset(r, iter + 1, prior[r]);
-      if (!quorum_armed.empty()) {
-        quorum_armed[r] = 1;
-        quorum_streak[r] = 0;
-      }
+      quorum.rearm(r);
       obs::count("gauss.reboots");
     }
 
@@ -127,7 +102,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
     double sum_motion = 0.0;
     std::size_t unknowns = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (acts_anchor[i]) continue;
+      if (roles.acts_anchor(i)) continue;
       if (transport.crashed(i)) continue;  // dead nodes stop computing too
       const auto nbs = scenario.graph.neighbors(i);
 
@@ -139,29 +114,17 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
 
       // Partial-neighborhood quorum: with most of the neighborhood
       // unreachable, hold the previous estimate rather than follow the
-      // skewed remainder. Bounded patience (see RobustnessConfig) keeps a
-      // permanently-cut or still-bootstrapping node from being held
-      // forever: after `quorum_patience` consecutive holds the gate
-      // disarms until a full quorum is next observed.
-      if (quorum > 0.0 && !nbs.empty()) {
+      // skewed remainder.
+      const bool held = quorum.hold(i, nbs.size(), [&] {
         std::size_t usable = 0;
         for (std::size_t k = 0; k < nbs.size(); ++k)
           if (slot_src(k) != nullptr) ++usable;
-        const bool met = static_cast<double>(usable) >=
-                         quorum * static_cast<double>(nbs.size());
-        if (met) {
-          quorum_armed[i] = 1;
-          quorum_streak[i] = 0;
-        } else if (quorum_armed[i] &&
-                   quorum_streak[i] < config_.robustness.quorum_patience) {
-          ++quorum_streak[i];
-          ++quorum_held;
-          staged[i] = belief[i];
-          continue;
-        } else if (quorum_armed[i]) {
-          quorum_armed[i] = 0;  // patience exhausted: free-run
-          quorum_streak[i] = 0;
-        }
+        return usable;
+      });
+      if (held) {
+        ++quorum_held;
+        staged[i] = belief[i];
+        continue;
       }
 
       InfoAccumulator acc(prior[i]);
@@ -197,7 +160,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       staged[i] = post;
     }
     for (std::size_t i = 0; i < n; ++i)
-      if (!acts_anchor[i] && !transport.crashed(i)) belief[i] = staged[i];
+      if (!roles.acts_anchor(i) && !transport.crashed(i)) belief[i] = staged[i];
 
     const double mean_motion =
         unknowns ? sum_motion / static_cast<double>(unknowns) : 0.0;
@@ -212,7 +175,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       robust.links_downweighted = huber_downweighted;
       robust.stale_links = transport.stale_links();
       robust.crashed_nodes = transport.crashed_count();
-      robust.anchors_demoted = anchors_demoted;
+      robust.anchors_demoted = roles.demoted();
       robust.quorum_held = quorum_held;
       obs::record_round(scenario, iter + 1, mean_motion, traced_estimates,
                         transport.stats(), robust);

@@ -83,8 +83,8 @@ struct GridBnclConfig {
   /// j's range"). In a Bayesian network over the deployment, the *absence*
   /// of an edge is evidence too; it prunes mirror-image ghost modes and is
   /// the single largest tail-error reduction in the engine (see F12).
+  /// Each node folds in at most 12 non-link factors.
   bool use_negative_evidence = true;
-  std::size_t negative_max_pairs = 12;  ///< non-link factors per node cap.
   bool map_estimate = false;        ///< MAP cell instead of MMSE mean.
 
   /// Fault countermeasures (F13); see core/engine_config.hpp. For this
@@ -123,12 +123,11 @@ struct GridBnclConfig {
 
   // --- Fast-path controls (PR4). All bit-identity-preserving: they change
   // --- wall-clock and memory only, never a single output bit. ------------
-  /// Memoize annulus kernels on the exact measured distance and share them
-  /// across links, nodes, and iterations (inference/kernel_cache.hpp). The
-  /// symmetric link measurements alone halve kernel construction.
-  bool cache_kernels = true;
-  /// Scope of that memoization. `run` (default) builds a fresh cache per
-  /// localize() call; `process` consults the process-global
+  /// Annulus kernels are always memoized on the exact measured distance and
+  /// shared across links, nodes, and iterations (inference/kernel_cache.hpp);
+  /// the symmetric link measurements alone halve kernel construction. This
+  /// is the scope of that memoization. `run` (default) builds a fresh cache
+  /// per localize() call; `process` consults the process-global
   /// KernelCacheRegistry so concurrent and successive runs share kernels
   /// (per-lookup outcomes surface as the `grid.kernels.process.hit/miss`
   /// obs counters). The registry grows until trimmed — standalone callers

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <optional>
 
-#include "fault/anchor_vetting.hpp"
+#include "core/robustness.hpp"
 #include "inference/particle_set.hpp"
 #include "net/transport.hpp"
 #include "obs/telemetry.hpp"
@@ -46,37 +46,17 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
 
   // Anchor vetting: flagged anchors trade their delta cloud for a
   // radio-range-wide one and re-estimate like unknowns.
-  std::vector<unsigned char> acts_anchor(n, 0);
-  for (std::size_t i = 0; i < n; ++i) acts_anchor[i] = scenario.is_anchor[i];
-  std::vector<PriorPtr> demoted_prior(n);
-  std::size_t anchors_demoted = 0;
-  if (config_.robustness.anchor_vetting) {
-    const AnchorVetReport vet = vet_anchors(scenario);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!scenario.is_anchor[i] || !vet.flagged[i]) continue;
-      acts_anchor[i] = 0;
-      demoted_prior[i] = GaussianPrior::isotropic(scenario.anchor_position(i),
-                                                  scenario.radio.range);
-      ++anchors_demoted;
-    }
-  }
-  const auto prior_of = [&](std::size_t i) -> const PositionPrior& {
-    return demoted_prior[i] ? *demoted_prior[i] : *scenario.priors[i];
-  };
-  const RangingSpec ranging =
-      config_.robustness.robust_likelihood
-          ? scenario.radio.ranging.contaminated(config_.robustness.contamination_epsilon,
-                                                config_.robustness.contamination_tail_scale)
-          : scenario.radio.ranging;
+  const AnchorRoles roles(scenario, config_.robustness);
+  const RangingSpec ranging = likelihood_ranging(scenario, config_.robustness);
 
   Rng init_rng = rng.split(0x9a111);
   std::vector<ParticleSet> belief;
   belief.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    belief.push_back(acts_anchor[i]
+    belief.push_back(roles.acts_anchor(i)
                          ? ParticleSet::delta(scenario.anchor_position(i),
                                               k_particles)
-                         : ParticleSet::from_prior(prior_of(i), k_particles,
+                         : ParticleSet::from_prior(roles.prior(i), k_particles,
                                                    init_rng));
   }
   const double spread_gate = config_.informative_spread * scenario.radio.range;
@@ -86,12 +66,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
                                        config_.robustness.stale_ttl,
                                        rng.split(0x5ad10));
   Rng work_rng = rng.split(0x40c);
-  const double quorum = config_.robustness.update_quorum;
-  // Quorum-gate state machine (see RobustnessConfig::quorum_patience):
-  // armed from round one, disarms after `quorum_patience` consecutive
-  // holds, re-arms on the next full quorum.
-  std::vector<unsigned char> quorum_armed(quorum > 0.0 ? n : 0, 1);
-  std::vector<std::uint32_t> quorum_streak(quorum > 0.0 ? n : 0, 0);
+  QuorumGate quorum(config_.robustness, n);
 
   std::vector<Vec2> prev_mean(n);
   for (std::size_t i = 0; i < n; ++i) prev_mean[i] = belief[i].mean();
@@ -115,15 +90,12 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
     // serves nothing until it has published twice. Every-round publishing
     // re-seeds neighbors from the next round on.
     for (const std::uint32_t r : transport.rebooted()) {
-      if (acts_anchor[r]) continue;
-      belief[r] = ParticleSet::from_prior(prior_of(r), k_particles,
+      if (roles.acts_anchor(r)) continue;
+      belief[r] = ParticleSet::from_prior(roles.prior(r), k_particles,
                                           work_rng);
       prev_mean[r] = belief[r].mean();
       transport.reset(r, 0, {});
-      if (!quorum_armed.empty()) {
-        quorum_armed[r] = 1;
-        quorum_streak[r] = 0;
-      }
+      quorum.rearm(r);
       obs::count("particle.reboots");
     }
 
@@ -155,36 +127,25 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
     double mean_motion = 0.0;
     std::size_t unknowns = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (acts_anchor[i]) continue;
+      if (roles.acts_anchor(i)) continue;
       if (transport.crashed(i)) continue;  // dead nodes stop computing too
       ParticleSet& b = belief[i];
       const auto nbs = scenario.graph.neighbors(i);
 
       // Partial-neighborhood quorum: with most of the neighborhood
       // unreachable, hold the cloud rather than reweight against the skewed
-      // remainder. Bounded patience (see RobustnessConfig) keeps the gate
-      // from deadlocking starts where quorum is structurally unreachable
-      // (diffuse priors: every cloud is wider than the spread gate, so
-      // nobody counts as usable): after `quorum_patience` consecutive
-      // holds the gate disarms until a full quorum is next observed.
-      if (quorum > 0.0 && !nbs.empty()) {
+      // remainder. (With diffuse priors every cloud is wider than the
+      // spread gate, so nobody counts as usable: the gate's bounded
+      // patience is what releases such starts.)
+      const bool held = quorum.hold(i, nbs.size(), [&] {
         std::size_t usable = 0;
         for (std::size_t kk = 0; kk < nbs.size(); ++kk)
           if (usable_cloud(i, kk) != nullptr) ++usable;
-        const bool met = static_cast<double>(usable) >=
-                         quorum * static_cast<double>(nbs.size());
-        if (met) {
-          quorum_armed[i] = 1;
-          quorum_streak[i] = 0;
-        } else if (quorum_armed[i] &&
-                   quorum_streak[i] < config_.robustness.quorum_patience) {
-          ++quorum_streak[i];
-          ++quorum_held;
-          continue;
-        } else if (quorum_armed[i]) {
-          quorum_armed[i] = 0;  // patience exhausted: free-run
-          quorum_streak[i] = 0;
-        }
+        return usable;
+      });
+      if (held) {
+        ++quorum_held;
+        continue;
       }
 
       // -- proposal refresh: prior samples + neighbor range-ring samples.
@@ -198,7 +159,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
                             static_cast<double>(k_particles));
       for (std::size_t r = 0; r < n_prior; ++r) {
         const std::size_t slot = work_rng.uniform_index(k_particles);
-        pts[slot] = prior_of(i).sample(work_rng);
+        pts[slot] = roles.prior(i).sample(work_rng);
       }
       for (std::size_t r = 0; r < n_ring; ++r) {
         const std::size_t kk = work_rng.uniform_index(nbs.size());
@@ -215,7 +176,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       }
       // -- reweight against prior and messages.
       for (std::size_t p = 0; p < pts.size(); ++p) {
-        double w = prior_of(i).density(pts[p]) + 1e-12;
+        double w = roles.prior(i).density(pts[p]) + 1e-12;
         for (std::size_t kk = 0; kk < nbs.size(); ++kk) {
           const std::vector<Vec2>* cloud = usable_cloud(i, kk);
           if (!cloud) continue;
@@ -254,7 +215,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       obs::RobustActivity robust;
       robust.stale_links = transport.stale_links();
       robust.crashed_nodes = transport.crashed_count();
-      robust.anchors_demoted = anchors_demoted;
+      robust.anchors_demoted = roles.demoted();
       robust.quorum_held = quorum_held;
       obs::record_round(scenario, iter + 1, avg_motion, traced_estimates,
                         transport.stats(), robust);

@@ -9,15 +9,28 @@
 namespace bnloc {
 
 ResidualScheduler::ResidualScheduler(const ScheduleConfig& config,
-                                     std::size_t slot_count)
+                                     std::size_t slot_count,
+                                     std::size_t node_count)
     : config_(config),
       defer_(slot_count, 0),
-      streak_(slot_count, 0) {
+      streak_(slot_count, 0),
+      pub_residual_(node_count, 0.0),
+      node_accum_(node_count, 0.0),
+      seen_accum_(slot_count, 0.0) {
   BNLOC_ASSERT(config_.link_budget_frac > 0.0 &&
                    config_.link_budget_frac <= 1.0,
                "link budget must be a fraction in (0, 1]");
   BNLOC_ASSERT(config_.starvation_rounds >= 1,
                "starvation floor must allow at least one deferral round");
+  ver_accum_.reserve(4 * node_count);
+  ver_accum_.push_back(0.0);  // version 0 = never published
+}
+
+void ResidualScheduler::commit_publish(std::size_t node, std::uint64_t ver) {
+  BNLOC_ASSERT(ver == ver_accum_.size(),
+               "publish versions must be committed in sequence");
+  node_accum_[node] += pub_residual_[node];
+  ver_accum_.push_back(node_accum_[node]);
 }
 
 void ResidualScheduler::reset_level() {

@@ -31,6 +31,15 @@
 // rules for first-heard / retired / recovered links (enforced by the
 // caller's candidacy filter, not here), no link's integrated summary can
 // lag its published one by more than `starvation_rounds` rounds.
+//
+// Residual ledger: sender-side residual accounting, exact and
+// transport-agnostic. Every publish appends its sender's running residual
+// total (the TV its belief moved since its previous publish, summed over
+// its lifetime) under the publish's global version; each slot remembers
+// the total of the version it last integrated. A changed slot's pending
+// residual is the difference — the sum of every publish the receiver has
+// not folded in yet, even when the async transport skipped intermediate
+// versions. The ledger persists across pyramid levels (versions do too).
 #pragma once
 
 #include <cstddef>
@@ -52,11 +61,14 @@ class ResidualScheduler {
  public:
   /// `slot_count` is the total directed-slot space (links + non-links);
   /// slots index the same CSR layout the engine's message caches use.
-  ResidualScheduler(const ScheduleConfig& config, std::size_t slot_count);
+  /// `node_count` sizes the ledger's per-sender accounts.
+  ResidualScheduler(const ScheduleConfig& config, std::size_t slot_count,
+                    std::size_t node_count);
 
-  /// Forget everything (defer bitmap and starvation streaks). Called at a
-  /// pyramid level switch: messages are resolution-specific, every slot's
-  /// first integration at the new level must process.
+  /// Forget the deferral state (defer bitmap and starvation streaks; the
+  /// ledger persists). Called at a pyramid level switch: messages are
+  /// resolution-specific, every slot's first integration at the new level
+  /// must process.
   void reset_level();
 
   /// Forget one slot's deferral debt (defer bit and streak). Called when a
@@ -84,6 +96,26 @@ class ResidualScheduler {
     return stats_;
   }
 
+  /// Ledger: stage the residual of `node`'s publish this round (1 for a
+  /// first announcement, which receivers never defer). Writes only
+  /// `node`'s entry, so node-parallel phases may call it.
+  void stage_publish(std::size_t node, double residual) noexcept {
+    pub_residual_[node] = residual;
+  }
+  /// Ledger: commit `node`'s staged residual as publish version `ver`.
+  /// Serial, in version order (versions are the global publish sequence).
+  void commit_publish(std::size_t node, std::uint64_t ver);
+  /// Ledger: the residual `slot` has not integrated when it moves to
+  /// version `ver`.
+  [[nodiscard]] double pending(std::size_t slot,
+                               std::uint64_t ver) const noexcept {
+    return ver_accum_[ver] - seen_accum_[slot];
+  }
+  /// Ledger: `slot` integrated version `ver`.
+  void integrate(std::size_t slot, std::uint64_t ver) noexcept {
+    seen_accum_[slot] = ver_accum_[ver];
+  }
+
  private:
   struct Candidate {
     std::uint64_t residual_bits;  ///< IEEE bit pattern; monotone for x >= 0
@@ -96,6 +128,10 @@ class ResidualScheduler {
   std::vector<unsigned char> defer_;    ///< this round's decisions, per slot
   std::vector<std::uint32_t> streak_;   ///< consecutive deferrals, per slot
   ScheduleRoundStats stats_{};
+  std::vector<double> pub_residual_;  ///< staged publish residual, per node
+  std::vector<double> node_accum_;    ///< running residual total, per node
+  std::vector<double> ver_accum_;     ///< sender's total at each version
+  std::vector<double> seen_accum_;    ///< total last integrated, per slot
 };
 
 }  // namespace bnloc

@@ -49,7 +49,6 @@ ServeRequest BatchService::sanitize(ServeRequest request) const {
   // multi-threaded grid rounds are bit-identical by the engine's own
   // contract, and kernels are pure functions of their cache key.
   request.grid.threads = 1;
-  request.grid.cache_kernels = true;
   request.grid.kernel_scope =
       config_.share_kernels ? KernelScope::process : KernelScope::run;
   return request;

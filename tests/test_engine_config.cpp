@@ -74,11 +74,9 @@ TEST(EngineConfig, GaussianRoundTripsSharedKnobs) {
 
 TEST(EngineConfig, GridFastPathKnobsRoundTrip) {
   GridBnclConfig cfg;
-  cfg.cache_kernels = false;
   cfg.reuse_messages = false;
   cfg.message_cache_mb = 12;
   const GridBncl engine(cfg);
-  EXPECT_FALSE(engine.config().cache_kernels);
   EXPECT_FALSE(engine.config().reuse_messages);
   EXPECT_EQ(engine.config().message_cache_mb, 12u);
 }

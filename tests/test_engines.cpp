@@ -315,13 +315,12 @@ TEST(GaussianBncl, ConvergesWithPriors) {
   EXPECT_TRUE(r.converged);
 }
 
-// The fast path (kernel cache + message reuse) must be invisible in the
-// output: every estimate bit-identical with the knobs on and off, across
+// The fast path (message and whole-product reuse) must be invisible in the
+// output: every estimate bit-identical with the knob on and off, across
 // packet loss, node-parallel updates, and a tiny cache budget
 // that forces the degrade-to-recompute path.
 TEST(GridBncl, FastPathIsBitIdentical) {
   const auto run = [](const Scenario& s, GridBnclConfig cfg, bool fast) {
-    cfg.cache_kernels = fast;
     cfg.reuse_messages = fast;
     Rng rng(9);
     return GridBncl(cfg).localize(s, rng);

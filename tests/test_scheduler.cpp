@@ -29,7 +29,7 @@ ScheduleConfig sched_config(double frac, std::size_t starvation) {
 // --- Scheduler mechanics --------------------------------------------------
 
 TEST(ResidualScheduler, BudgetIsACeilingWithAtLeastOneGrant) {
-  ResidualScheduler s(sched_config(0.5, 4), 16);
+  ResidualScheduler s(sched_config(0.5, 4), 16, 16);
   s.begin_round();
   for (std::uint32_t k = 0; k < 5; ++k) s.add_candidate(0, k, 1.0);
   s.commit_round();
@@ -38,7 +38,7 @@ TEST(ResidualScheduler, BudgetIsACeilingWithAtLeastOneGrant) {
   EXPECT_EQ(s.round_stats().deferred, 2u);
 
   // A lone candidate is always granted, however tight the budget.
-  ResidualScheduler tight(sched_config(0.05, 4), 16);
+  ResidualScheduler tight(sched_config(0.05, 4), 16, 16);
   tight.begin_round();
   tight.add_candidate(0, 3, 1e-9);
   tight.commit_round();
@@ -47,7 +47,8 @@ TEST(ResidualScheduler, BudgetIsACeilingWithAtLeastOneGrant) {
 }
 
 TEST(ResidualScheduler, HighestResidualWinsRegardlessOfScanOrder) {
-  ResidualScheduler s(sched_config(0.34, 4), 16);  // 3 candidates -> budget 2
+  // 3 candidates -> budget 2
+  ResidualScheduler s(sched_config(0.34, 4), 16, 16);
   s.begin_round();
   s.add_candidate(0, 0, 0.2);  // scan order must not matter
   s.add_candidate(1, 1, 0.9);
@@ -61,8 +62,8 @@ TEST(ResidualScheduler, HighestResidualWinsRegardlessOfScanOrder) {
 TEST(ResidualScheduler, TiesBreakOnNodeThenSlot) {
   // Equal residuals: the total order falls back to (node asc, slot asc), so
   // the grant set is a pure function of the candidates — no float-tie
-  // nondeterminism.
-  ResidualScheduler s(sched_config(0.25, 4), 16);  // 4 candidates -> budget 1
+  // nondeterminism. 4 candidates -> budget 1.
+  ResidualScheduler s(sched_config(0.25, 4), 16, 16);
   s.begin_round();
   s.add_candidate(7, 11, 0.5);
   s.add_candidate(3, 9, 0.5);
@@ -79,7 +80,7 @@ TEST(ResidualScheduler, StarvationFloorBoundsConsecutiveDeferrals) {
   // Two candidates, budget 1: the low-residual slot loses every round until
   // the floor promotes it. With starvation_rounds = 2 it may be deferred in
   // exactly two consecutive rounds, then must be granted.
-  ResidualScheduler s(sched_config(0.5, 2), 16);
+  ResidualScheduler s(sched_config(0.5, 2), 16, 16);
   for (int round = 0; round < 2; ++round) {
     s.begin_round();
     s.add_candidate(0, 0, 0.9);
@@ -108,7 +109,7 @@ TEST(ResidualScheduler, StarvationFloorBoundsConsecutiveDeferrals) {
 }
 
 TEST(ResidualScheduler, BeginRoundClearsLastRoundsDeferrals) {
-  ResidualScheduler s(sched_config(0.5, 4), 16);
+  ResidualScheduler s(sched_config(0.5, 4), 16, 16);
   s.begin_round();
   s.add_candidate(0, 0, 0.9);
   s.add_candidate(1, 1, 0.1);
@@ -123,7 +124,7 @@ TEST(ResidualScheduler, BeginRoundClearsLastRoundsDeferrals) {
 }
 
 TEST(ResidualScheduler, ResetSlotClearsStarvationDebt) {
-  ResidualScheduler s(sched_config(0.5, 3), 16);
+  ResidualScheduler s(sched_config(0.5, 3), 16, 16);
   for (int round = 0; round < 2; ++round) {
     s.begin_round();
     s.add_candidate(0, 0, 0.9);
@@ -147,6 +148,28 @@ TEST(ResidualScheduler, ResetSlotClearsStarvationDebt) {
   s.commit_round();
   EXPECT_FALSE(s.deferred(1));
   EXPECT_EQ(s.round_stats().promotions, 1u);
+}
+
+TEST(ResidualScheduler, LedgerCountsSkippedVersionsInThePendingSum) {
+  // An async receiver can skip versions: a slot that integrated node 0's
+  // first publish and next sees its third still owes the second's residual.
+  ResidualScheduler s(sched_config(0.5, 4), 2, 2);
+  s.stage_publish(0, 0.25);
+  s.commit_publish(0, 1);
+  s.stage_publish(1, 0.5);  // another sender's publish interleaves
+  s.commit_publish(1, 2);
+  s.stage_publish(0, 0.5);
+  s.commit_publish(0, 3);
+  s.stage_publish(0, 0.125);
+  s.commit_publish(0, 4);
+
+  s.integrate(0, 1);
+  EXPECT_EQ(s.pending(0, 4), 0.625);  // versions 3 and 4; 3 was skipped
+  EXPECT_EQ(s.pending(0, 3), 0.5);
+  s.integrate(0, 4);
+  EXPECT_EQ(s.pending(0, 4), 0.0);
+  // A slot that never integrated owes the sender's whole history.
+  EXPECT_EQ(s.pending(1, 4), 0.875);
 }
 
 // --- Grid-engine integration ----------------------------------------------
@@ -212,6 +235,59 @@ TEST(GridBnclSched, AsyncReplayIsBitIdenticalAcrossThreads) {
   ASSERT_NE(a.transport_hash, 0u);
   EXPECT_EQ(a.transport_hash, b.transport_hash);
   expect_identical_runs(a, b);
+}
+
+// The pyramid together with the residual policy: the level switch resets
+// the schedule while the residual ledger carries across levels. Runs at 1
+// and 4 threads and with telemetry (counters, trace and spans) on and off
+// must agree bit for bit, and the combination must really have run:
+// deferred links, and no level whose message cache — the store deferred
+// links replay from — fell back to recompute. Returns the serial run.
+LocalizationResult expect_pyramid_schedule_is_deterministic(
+    GridBnclConfig gc) {
+  gc.grid_side = 42;
+  gc.pyramid_levels = 2;
+  const Scenario s = build_scenario(scenario_config(61));
+  obs::Telemetry sink;
+  sink.spans_enabled = true;
+  LocalizationResult observed;
+  {
+    const obs::TelemetryScope scope(&sink);
+    Rng rng(7);
+    observed = GridBncl(gc).localize(s, rng);
+  }
+  EXPECT_GT(sink.registry.counter("sched.links_deferred"), 0u);
+  EXPECT_EQ(sink.registry.counter("grid.message_cache.degraded"), 0u);
+  EXPECT_EQ(sink.registry.counter("grid.pyramid.levels"), 2u);
+
+  GridBnclConfig par = gc;
+  par.threads = 4;
+  Rng r1(7), r2(7);
+  const auto serial = GridBncl(gc).localize(s, r1);
+  const auto parallel = GridBncl(par).localize(s, r2);
+  {
+    SCOPED_TRACE("telemetry on vs off");
+    expect_identical_runs(observed, serial);
+    EXPECT_EQ(observed.transport_hash, serial.transport_hash);
+  }
+  {
+    SCOPED_TRACE("1 vs 4 threads");
+    expect_identical_runs(serial, parallel);
+    EXPECT_EQ(serial.transport_hash, parallel.transport_hash);
+  }
+  return serial;
+}
+
+TEST(GridBnclSched, PyramidWithResidualPolicyIsDeterministic) {
+  expect_pyramid_schedule_is_deterministic(residual_config());
+}
+
+TEST(GridBnclSched, PyramidWithResidualPolicyAsyncReplayIsDeterministic) {
+  GridBnclConfig gc = residual_config();
+  gc.transport.async = true;
+  gc.transport.radio.loss = 0.1;
+  gc.transport.radio.latency = 0.25;
+  EXPECT_NE(expect_pyramid_schedule_is_deterministic(gc).transport_hash, 0u);
 }
 
 TEST(GridBnclSched, FaultedAccuracyStaysAtParityWithRoundRobin) {
