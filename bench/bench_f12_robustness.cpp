@@ -24,9 +24,9 @@ int main() {
                 "grid iters"});
   for (double loss : {0.0, 0.1, 0.2, 0.3, 0.4}) {
     GridBnclConfig gc;
-    gc.iteration.packet_loss = loss;
+    gc.transport.radio.loss = loss;
     GaussianBnclConfig xc;
-    xc.iteration.packet_loss = loss;
+    xc.transport.radio.loss = loss;
     const AggregateRow g = run_algorithm(GridBncl(gc), base, bc.trials);
     const AggregateRow x = run_algorithm(GaussianBncl(xc), base, bc.trials);
     bj.add(g, "loss=" + AsciiTable::fmt(loss, 1));

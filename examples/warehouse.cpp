@@ -64,7 +64,7 @@ int main() {
   const std::size_t trials = 5;
 
   GridBnclConfig gc;
-  gc.iteration.packet_loss = 0.25;
+  gc.transport.radio.loss = 0.25;
   const GridBncl bayes(gc);
   const RefinementLocalizer classical;  // cannot model loss; sees the same
                                         // measured graph

@@ -35,12 +35,17 @@ python3 scripts/validate_serve_output.py "$TMP/batch.json" "$TMP/out.jsonl"
 python3 scripts/validate_serve_output.py --expect-match "$TMP/out.jsonl" \
   "$TMP/batch.json" "$TMP/out2.jsonl"
 
-# 3. A failing request must produce an ok=false line, not a dead batch.
+# 3. A failing request must produce an ok=false line, not a dead batch:
+# too few nodes, and an infinite radio range (1e999 decodes as inf, which
+# would otherwise score every error as 0 radio ranges).
 python3 - "$TMP/batch.json" "$TMP/bad.json" << 'EOF'
 import json, sys
 batch = json.load(open(sys.argv[1]))
 batch["requests"][1]["scenario"]["nodes"] = 1  # validation failure
-json.dump(batch, open(sys.argv[2], "w"))
+batch["requests"][2]["scenario"]["radio_range"] = "INF"
+# json.dump cannot spell an out-of-range number; splice the literal in.
+text = json.dumps(batch).replace('"INF"', "1e999")
+open(sys.argv[2], "w").write(text)
 EOF
 if "$SERVE" --quiet "$TMP/bad.json" > "$TMP/out-bad.jsonl"; then
   echo "serve_smoke: expected nonzero exit for a batch with a failed request" >&2
@@ -48,6 +53,14 @@ if "$SERVE" --quiet "$TMP/bad.json" > "$TMP/out-bad.jsonl"; then
 fi
 python3 scripts/validate_serve_output.py --allow-failures "$TMP/bad.json" \
   "$TMP/out-bad.jsonl"
+python3 - "$TMP/out-bad.jsonl" << 'EOF'
+import json, sys
+lines = [json.loads(line) for line in open(sys.argv[1])]
+for index, field in ((1, "nodes"), (2, "radio_range")):
+    if lines[index]["ok"] or field not in lines[index]["error"]:
+        sys.exit(f"serve_smoke: request {index} should fail on {field}: "
+                 f"{lines[index]}")
+EOF
 
 # 4. Observability surface: one batch -> Prometheus exposition + Perfetto
 # trace; the same batch twice (--repeat 2) -> every integer event counter

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "net/transport.hpp"  // TransportConfig
 
@@ -55,6 +56,13 @@ struct RobustnessConfig {
   /// whole-neighborhood quorum would hold every node forever (nobody
   /// updates because nobody is informative because nobody updates).
   std::size_t quorum_patience = 4;
+
+  /// Empty when every engine accepts these knobs, else the reason.
+  [[nodiscard]] std::string validate() const {
+    if (!(update_quorum >= 0.0 && update_quorum <= 1.0))
+      return "update_quorum must be in [0, 1]";
+    return {};
+  }
 };
 
 /// Belief-update message scheduling policy (ROADMAP item 1; the residual
@@ -91,9 +99,18 @@ struct ScheduleConfig {
   /// (counted in `sched.starvation_promotions`), bounding how stale any
   /// integrated summary can be. Must be >= 1 under the residual policy.
   std::size_t starvation_rounds = 4;
+
+  /// Empty when ResidualScheduler accepts these knobs, else the reason.
+  /// Engines check it under the residual policy only.
+  [[nodiscard]] std::string validate() const {
+    if (!(link_budget_frac > 0.0 && link_budget_frac <= 1.0))
+      return "link_budget_frac must be in (0, 1]";
+    if (starvation_rounds < 1) return "starvation_rounds must be >= 1";
+    return {};
+  }
 };
 
-/// Outer-loop iteration and link-layer knobs shared by every engine.
+/// Outer-loop iteration knobs shared by every engine.
 struct IterationConfig {
   /// Hard cap on belief-propagation rounds.
   std::size_t max_iterations = 24;
@@ -102,10 +119,6 @@ struct IterationConfig {
   /// total-variation change for the grid engine, mean estimate motion as a
   /// fraction of the radio range for the particle and Gaussian engines.
   double convergence_tol = 0.01;
-  /// Independent per-reception packet drop probability in [0, 1), drawn
-  /// once per round by the sync transport. The async transport ignores it
-  /// and draws per attempt from `TransportConfig::radio.loss` instead.
-  double packet_loss = 0.0;
 };
 
 }  // namespace bnloc

@@ -14,9 +14,24 @@
 
 namespace bnloc {
 
+namespace {
+
+/// Anchor belief standard deviation (anchors are exact).
+constexpr double kAnchorSigma = 1e-4;
+
+}  // namespace
+
+std::string GaussianBnclConfig::validate() const {
+  if (!(damping >= 0.0 && damping < 1.0)) return "damping must be in [0, 1)";
+  if (std::string why = robustness.validate(); !why.empty())
+    return "robustness." + why;
+  if (std::string why = transport.validate(); !why.empty())
+    return "transport." + why;
+  return {};
+}
+
 GaussianBncl::GaussianBncl(GaussianBnclConfig config) : config_(config) {
-  BNLOC_ASSERT(config_.damping >= 0.0 && config_.damping < 1.0,
-               "damping must be in [0, 1)");
+  BNLOC_ASSERT_VALID(config_);
 }
 
 LocalizationResult GaussianBncl::localize(const Scenario& scenario,
@@ -39,8 +54,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   for (std::size_t i = 0; i < n; ++i) {
     if (roles.acts_anchor(i)) {
       belief[i].mean = scenario.anchor_position(i);
-      belief[i].cov =
-          Cov2::isotropic(config_.anchor_sigma * config_.anchor_sigma);
+      belief[i].cov = Cov2::isotropic(kAnchorSigma * kAnchorSigma);
     } else {
       const PositionPrior& p = roles.prior(i);
       // An informative prior's mean is the best linearization point; for an
@@ -55,7 +69,6 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
                                           : scenario.priors[i]->mean();
   }
   Transport<Gaussian2> transport(scenario, config_.transport,
-                                 config_.iteration.packet_loss,
                                  config_.robustness.stale_ttl,
                                  rng.split(0x5ad10));
   // Every node's starting belief is on file from the outset, so under sync

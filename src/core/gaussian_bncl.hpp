@@ -9,6 +9,8 @@
 // gap the grid/particle engines close (T1, T10).
 #pragma once
 
+#include <string>
+
 #include "core/engine_config.hpp"
 #include "core/localizer.hpp"
 
@@ -19,7 +21,6 @@ struct GaussianBnclConfig {
   /// motion per round as a fraction of the radio range.
   IterationConfig iteration{.max_iterations = 40, .convergence_tol = 0.002};
   double damping = 0.5;           ///< mean-update damping in [0, 1).
-  double anchor_sigma = 1e-4;     ///< anchor belief stddev (exactness).
 
   /// Fault countermeasures (F13); see core/engine_config.hpp. For this
   /// engine `robust_likelihood` selects Huber-style residual downweighting:
@@ -36,6 +37,9 @@ struct GaussianBnclConfig {
   /// duplicates and reordering). Heartbeats and reboot relays are moot here
   /// — the every-round publish already re-seeds rebooted neighbors.
   TransportConfig transport;
+
+  /// Empty when GaussianBncl accepts this config, else the reason.
+  [[nodiscard]] std::string validate() const;
 };
 
 class GaussianBncl final : public Localizer {

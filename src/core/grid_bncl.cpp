@@ -1,6 +1,7 @@
 #include "core/grid_bncl.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -19,21 +20,26 @@
 
 namespace bnloc {
 
+std::string GridBnclConfig::validate() const {
+  if (!(damping >= 0.0 && damping < 1.0)) return "damping must be in [0, 1)";
+  if (grid_side < 8) return "grid_side must be >= 8";
+  if (pyramid_levels < 1) return "pyramid_levels must be >= 1";
+  if (std::string why = robustness.validate(); !why.empty())
+    return "robustness." + why;
+  if (sched.policy == SchedulePolicy::residual) {
+    if (!reuse_messages)
+      return "sched.policy residual requires reuse_messages: a deferred "
+             "link replays its cached message";
+    if (std::string why = sched.validate(); !why.empty())
+      return "sched." + why;
+  }
+  if (std::string why = transport.validate(); !why.empty())
+    return "transport." + why;
+  return {};
+}
+
 GridBncl::GridBncl(GridBnclConfig config) : config_(std::move(config)) {
-  BNLOC_ASSERT(config_.damping >= 0.0 && config_.damping < 1.0,
-               "damping must be in [0, 1)");
-  BNLOC_ASSERT(config_.grid_side >= 8, "grid too coarse to be meaningful");
-  BNLOC_ASSERT(config_.pyramid_levels >= 1,
-               "pyramid needs at least one level");
-  BNLOC_ASSERT(config_.pyramid_roi_margin >= 0,
-               "ROI margin cannot be negative");
-  BNLOC_ASSERT(config_.robustness.update_quorum >= 0.0 &&
-                   config_.robustness.update_quorum <= 1.0,
-               "update quorum must be a fraction");
-  BNLOC_ASSERT(config_.sched.policy != SchedulePolicy::residual ||
-                   config_.reuse_messages,
-               "residual scheduling requires reuse_messages: a deferred "
-               "link replays its cached message");
+  BNLOC_ASSERT_VALID(config_);
 }
 
 std::string GridBncl::name() const {
@@ -69,6 +75,26 @@ constexpr std::size_t kPyramidPublishCap = 64;
 
 /// Two-hop non-link factors per node (negative evidence).
 constexpr std::size_t kNegativeMaxPairs = 12;
+
+/// ROI dilation margin at a level switch, in cells of the level being
+/// entered: the upsampled belief's support box is grown by this much on
+/// every edge before masking. Larger is safer (the region a node's belief
+/// may move into during the level) but slower; 4 covers the coarse-cell
+/// quantization plus normal per-round drift.
+constexpr std::int32_t kPyramidRoiMargin = 4;
+static_assert(kPyramidRoiMargin >= 0, "ROI margin cannot be negative");
+
+/// Additive floor per message (messages peak at 1).
+constexpr double kMessageFloor = 1e-4;
+
+/// A belief is worth broadcasting once its top `max_support_cells` cells
+/// cover this much mass. 0.5 admits ring-shaped beliefs (one-anchor nodes)
+/// — essential for bootstrap when priors are uniform — while still
+/// silencing near-uniform beliefs.
+constexpr double kInformativeCoverage = 0.5;
+
+/// Total-variation change since the last publish that triggers a re-send.
+constexpr double kRebroadcastTol = 0.01;
 
 /// Slot signatures: a summary version, 0 (nothing heard), kStale (the TTL
 /// retired the slot), or kNeverIntegrated — the marker a product signature
@@ -265,8 +291,8 @@ GridRun::GridRun(const GridBnclConfig& config, const Scenario& scenario,
                    ? std::min(config.max_support_cells, kPyramidPublishCap)
                    : config.max_support_cells),
       link_off_(n_ + 1, 0),
-      transport_(scenario, config.transport, config.iteration.packet_loss,
-                 config.robustness.stale_ttl, rng.split(0x5ad10)),
+      transport_(scenario, config.transport, config.robustness.stale_ttl,
+                 rng.split(0x5ad10)),
       gate_(config.robustness, n_),
       last_pub_round_(transport_.heartbeat_rounds() > 0 ? n_ : 0, 0),
       pub_candidate_(n_),
@@ -385,7 +411,7 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
       // prior yields a full box and changes nothing.
       beliefops::set_from_prior(shape_, dense_scratch_, roles_.prior(i));
       roi_[i] = beliefops::support_box(dense_scratch_, side, kRoiPeakFraction)
-                    .dilated(config_.pyramid_roi_margin, side);
+                    .dilated(kPyramidRoiMargin, side);
       beliefops::mask_in(dense_scratch_, side, roi_[i]);
       level0_prior.resize(level0_prior.size() + roi_[i].cell_count());
       beliefops::copy_in(
@@ -396,7 +422,7 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
       upsample_belief(prev, belief_->dense(i, coarse_scratch_), shape_,
                       dense_scratch_);
       roi_[i] = beliefops::support_box(dense_scratch_, side, kRoiPeakFraction)
-                    .dilated(config_.pyramid_roi_margin, side);
+                    .dilated(kPyramidRoiMargin, side);
     }
   }
   prior_.emplace(shape_, roi_);
@@ -578,7 +604,6 @@ void GridRun::reboot() {
   // neighbor store-and-forward relays its newest summary to the rebooted
   // node, re-seeding its inbox in one hop instead of waiting out the
   // TV-gate silence of converged neighbors.
-  if (!config_.transport.reboot_relays) return;
   for (const std::uint32_t r : rebooted) {
     for (const Neighbor& nb : scenario_.graph.neighbors(r)) {
       const SparseBelief* newest = transport_.newest(nb.node).payload;
@@ -615,7 +640,7 @@ void GridRun::decide_publish(std::size_t u,
   if (ever_published && !force_heartbeat) {
     const double tv = beliefops::total_variation_in(belief_->view(u),
                                                     last_pub_->view(u));
-    if (tv <= config_.rebroadcast_tol) return;
+    if (tv <= kRebroadcastTol) return;
     if (sched_) sched_->stage_publish(u, tv);
   } else if (sched_) {
     // Residual of a forced or first publish: the TV against the last
@@ -631,7 +656,7 @@ void GridRun::decide_publish(std::size_t u,
                          pub_candidate_[u], order);
   const bool informative =
       roles_.acts_anchor(u) ||
-      pub_candidate_[u].covered_fraction >= config_.informative_coverage;
+      pub_candidate_[u].covered_fraction >= kInformativeCoverage;
   if (!informative) return;
   copy_belief((*belief_)[u], (*last_pub_)[u]);
   will_publish_[u] = 1;
@@ -808,7 +833,7 @@ void GridRun::update_node(std::size_t i, std::vector<double>& scratch,
         }
       }
       w.cell_visits += box_cells;
-      beliefops::multiply_in(next, buf, config_.message_floor);
+      beliefops::multiply_in(next, buf, kMessageFloor);
     });
     if (config_.reuse_messages) {
       // pre-damping: replayable as-is

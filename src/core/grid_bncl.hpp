@@ -18,7 +18,7 @@
 //  * a node stays silent until its belief is concentrated enough to be
 //    worth a packet (uninformative-flooding suppression);
 //  * a localized node re-broadcasts only when its belief moved by more than
-//    `rebroadcast_tol` total variation;
+//    a fixed total-variation tolerance;
 //  * payloads are the sparse top-cells summary, metered through the
 //    transport (net/transport.hpp; optionally lossy).
 #pragma once
@@ -26,6 +26,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "core/engine_config.hpp"
 #include "core/localizer.hpp"
@@ -59,26 +60,13 @@ struct GridBnclConfig {
   /// rounds; the finest level gets the remainder). Sensible with
   /// max_iterations ≳ 4·L.
   std::size_t pyramid_levels = 1;
-  /// ROI dilation margin at a level switch, in cells of the level being
-  /// entered: the upsampled belief's support box is grown by this much on
-  /// every edge before masking. Larger is safer (the region a node's belief
-  /// may move into during the level) but slower; 4 covers the coarse-cell
-  /// quantization plus normal per-round drift.
-  std::int32_t pyramid_roi_margin = 4;
   /// Shared outer-loop knobs. `convergence_tol` here is the *mean* belief
   /// total-variation change per round (estimates plateau earlier than
   /// individual beliefs settle).
   IterationConfig iteration{.max_iterations = 24, .convergence_tol = 0.01};
   double damping = 0.3;             ///< linear belief damping in [0, 1).
-  double message_floor = 1e-4;      ///< additive floor per message (peak 1).
   double support_mass = 0.995;      ///< belief mass a broadcast targets.
   std::size_t max_support_cells = 192;  ///< payload cap per broadcast.
-  /// A belief is worth broadcasting once its top `max_support_cells` cells
-  /// cover this much mass. 0.5 admits ring-shaped beliefs (one-anchor
-  /// nodes) — essential for bootstrap when priors are uniform — while
-  /// still silencing near-uniform beliefs.
-  double informative_coverage = 0.5;
-  double rebroadcast_tol = 0.01;    ///< TV change that triggers a re-send.
   /// Fold in two-hop non-links ("j cannot hear k, so k is probably outside
   /// j's range"). In a Bayesian network over the deployment, the *absence*
   /// of an edge is evidence too; it prunes mirror-image ghost modes and is
@@ -100,9 +88,9 @@ struct GridBnclConfig {
   /// churn, receivers integrate whatever their inbox holds (however stale),
   /// and the degradation ladder — TTL retirement, `robustness.update_quorum`
   /// holds, heartbeat republish, store-and-forward reboot re-entry — keeps
-  /// the posterior honest. `iteration.packet_loss` is ignored in async
-  /// mode: loss lives in `transport.radio.loss` (per *attempt*, not per
-  /// round). Both link layers sit behind one Transport (net/transport.hpp).
+  /// the posterior honest. `transport.radio.loss` is the loss of either
+  /// link layer: per directed link per round under sync, per *attempt*
+  /// under async. Both sit behind one Transport (net/transport.hpp).
   TransportConfig transport;
 
   /// Message scheduling policy (ROADMAP item 1); see core/engine_config.hpp
@@ -167,6 +155,11 @@ struct GridBnclConfig {
   std::function<void(std::size_t iteration,
                      std::span<const std::optional<Vec2>> estimates)>
       observer;
+
+  /// Empty when GridBncl accepts this config, else the reason (a nested
+  /// block's reason is prefixed with the block: `sched.`, `robustness.`,
+  /// `transport.`).
+  [[nodiscard]] std::string validate() const;
 };
 
 class GridBncl final : public Localizer {

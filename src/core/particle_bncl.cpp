@@ -15,6 +15,24 @@ namespace bnloc {
 
 namespace {
 
+/// Neighbor particles subsampled into each published message (M).
+constexpr std::size_t kMessageSubsample = 24;
+static_assert(kMessageSubsample >= 1, "message subsample empty");
+
+/// Fractions of a cloud re-drawn every round from the prior and on
+/// neighbor range rings (the mixture proposal).
+constexpr double kPriorRefreshFraction = 0.15;
+constexpr double kRingRefreshFraction = 0.25;
+static_assert(kPriorRefreshFraction + kRingRefreshFraction < 1.0,
+              "refresh fractions must leave room for surviving particles");
+
+/// Ignore messages from neighbors whose published cloud has RMS spread
+/// above this many radio ranges: a near-uniform cloud carries no
+/// information, only Monte-Carlo noise, and multiplying several such noisy
+/// factors randomizes the weights (the particle analogue of the grid
+/// engine's informative-coverage gate).
+constexpr double kInformativeSpread = 1.5;
+
 /// What a node puts on the air each round: the subsampled cloud plus its RMS
 /// spread (the receiver-side informativeness gate travels with the payload).
 struct ParticleSummary {
@@ -24,12 +42,17 @@ struct ParticleSummary {
 
 }  // namespace
 
+std::string ParticleBnclConfig::validate() const {
+  if (particle_count < 8) return "particle_count must be >= 8";
+  if (std::string why = robustness.validate(); !why.empty())
+    return "robustness." + why;
+  if (std::string why = transport.validate(); !why.empty())
+    return "transport." + why;
+  return {};
+}
+
 ParticleBncl::ParticleBncl(ParticleBnclConfig config) : config_(config) {
-  BNLOC_ASSERT(config_.particle_count >= 8, "too few particles");
-  BNLOC_ASSERT(config_.message_subsample >= 1, "message subsample empty");
-  BNLOC_ASSERT(
-      config_.prior_refresh_fraction + config_.ring_refresh_fraction < 1.0,
-      "refresh fractions must leave room for surviving particles");
+  BNLOC_ASSERT_VALID(config_);
 }
 
 LocalizationResult ParticleBncl::localize(const Scenario& scenario,
@@ -59,10 +82,9 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
                          : ParticleSet::from_prior(roles.prior(i), k_particles,
                                                    init_rng));
   }
-  const double spread_gate = config_.informative_spread * scenario.radio.range;
+  const double spread_gate = kInformativeSpread * scenario.radio.range;
 
   Transport<ParticleSummary> transport(scenario, config_.transport,
-                                       config_.iteration.packet_loss,
                                        config_.robustness.stale_ttl,
                                        rng.split(0x5ad10));
   Rng work_rng = rng.split(0x40c);
@@ -106,7 +128,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
     for (std::size_t u = 0; u < n; ++u) {
       if (transport.crashed(u)) continue;
       const auto idx =
-          belief[u].subsample(config_.message_subsample, work_rng);
+          belief[u].subsample(kMessageSubsample, work_rng);
       ParticleSummary summary;
       summary.pts.reserve(idx.size());
       for (std::size_t p : idx) summary.pts.push_back(belief[u].point(p));
@@ -151,11 +173,11 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       // -- proposal refresh: prior samples + neighbor range-ring samples.
       std::vector<Vec2> pts(b.points().begin(), b.points().end());
       const auto n_prior = static_cast<std::size_t>(
-          config_.prior_refresh_fraction * static_cast<double>(k_particles));
+          kPriorRefreshFraction * static_cast<double>(k_particles));
       const auto n_ring =
           nbs.empty() ? 0
                       : static_cast<std::size_t>(
-                            config_.ring_refresh_fraction *
+                            kRingRefreshFraction *
                             static_cast<double>(k_particles));
       for (std::size_t r = 0; r < n_prior; ++r) {
         const std::size_t slot = work_rng.uniform_index(k_particles);

@@ -13,6 +13,8 @@
 // (documented approximation, also used in published SPAWN implementations).
 #pragma once
 
+#include <string>
+
 #include "core/engine_config.hpp"
 #include "core/localizer.hpp"
 
@@ -20,18 +22,9 @@ namespace bnloc {
 
 struct ParticleBnclConfig {
   std::size_t particle_count = 128;  ///< K particles per node.
-  std::size_t message_subsample = 24;  ///< M neighbor particles per message.
   /// Shared outer-loop knobs. `convergence_tol` here is the mean estimate
   /// movement per round as a fraction of the radio range.
   IterationConfig iteration{.max_iterations = 16, .convergence_tol = 0.01};
-  double prior_refresh_fraction = 0.15;  ///< particles re-drawn from prior.
-  double ring_refresh_fraction = 0.25;   ///< particles drawn on range rings.
-  /// Ignore messages from neighbors whose published cloud has RMS spread
-  /// above this many radio ranges: a near-uniform cloud carries no
-  /// information, only Monte-Carlo noise, and multiplying several such
-  /// noisy factors randomizes the weights (the particle analogue of the
-  /// grid engine's informative-coverage gate).
-  double informative_spread = 1.5;
 
   /// Fault countermeasures (F13); see core/engine_config.hpp. For this
   /// engine `robust_likelihood` selects the ε-contamination range
@@ -45,6 +38,9 @@ struct ParticleBnclConfig {
   /// Like the Gaussian engine this one broadcasts every round, so
   /// heartbeats and reboot relays are moot.
   TransportConfig transport;
+
+  /// Empty when ParticleBncl accepts this config, else the reason.
+  [[nodiscard]] std::string validate() const;
 };
 
 class ParticleBncl final : public Localizer {

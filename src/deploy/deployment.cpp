@@ -49,7 +49,6 @@ Placement deploy_grid_jitter(const DeploymentSpec& spec, std::size_t count,
 
 Placement deploy_clusters(const DeploymentSpec& spec, std::size_t count,
                           Rng& rng) {
-  BNLOC_ASSERT(spec.cluster_count >= 1, "need at least one cluster");
   Placement out;
   out.positions.reserve(count);
   out.priors.reserve(count);
@@ -115,9 +114,16 @@ Placement deploy_line_drop(const DeploymentSpec& spec, std::size_t count,
 
 }  // namespace
 
+std::string DeploymentSpec::validate() const {
+  if (!(field.area() > 0.0)) return "field must have a positive area";
+  if (kind == DeploymentKind::clusters && cluster_count < 1)
+    return "cluster_count must be >= 1 for a clusters deployment";
+  return {};
+}
+
 Placement deploy(const DeploymentSpec& spec, std::size_t count, Rng& rng) {
   BNLOC_ASSERT(count > 0, "deployment needs at least one node");
-  BNLOC_ASSERT(spec.field.area() > 0.0, "deployment field must be non-empty");
+  BNLOC_ASSERT_VALID(spec);
   switch (spec.kind) {
     case DeploymentKind::uniform:
       return deploy_uniform(spec, count, rng);

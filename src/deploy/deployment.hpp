@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -43,6 +44,9 @@ struct DeploymentSpec {
   // of the field width and of the nominal drop spacing respectively.
   double drop_lateral_factor = 0.05;
   double drop_spacing_error = 0.5;
+
+  /// Empty when deploy() accepts this spec, else the reason.
+  [[nodiscard]] std::string validate() const;
 };
 
 /// Place `count` nodes according to `spec`. Positions are clamped to the

@@ -1,6 +1,7 @@
 #include "deploy/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/assert.hpp"
 
@@ -34,10 +35,26 @@ std::vector<std::size_t> Scenario::unknown_indices() const {
   return out;
 }
 
+std::string ScenarioConfig::validate() const {
+  if (node_count < 2) return "nodes must be >= 2";
+  if (!(anchor_fraction >= 0.0 && anchor_fraction <= 1.0))
+    return "anchor_fraction must be in [0, 1]";
+  // Errors are reported in units of the range, so an infinite one would
+  // score every run perfect.
+  if (!(std::isfinite(radio.range) && radio.range > 0.0))
+    return "radio_range must be finite and > 0";
+  const double noise = radio.ranging.noise_factor;
+  if (!(std::isfinite(noise) && noise >= 0.0))
+    return "noise must be finite and >= 0";
+  if (std::string why = deployment.validate(); !why.empty())
+    return "deployment." + why;
+  if (std::string why = faults.validate(); !why.empty())
+    return "faults." + why;
+  return {};
+}
+
 Scenario build_scenario(const ScenarioConfig& config) {
-  BNLOC_ASSERT(config.node_count >= 2, "scenario needs at least two nodes");
-  BNLOC_ASSERT(config.anchor_fraction >= 0.0 && config.anchor_fraction <= 1.0,
-               "anchor fraction out of range");
+  BNLOC_ASSERT_VALID(config);
   Rng rng(config.seed);
   Rng deploy_rng = rng.split(0xdeb107);
   Rng anchor_rng = rng.split(0xa2c408);

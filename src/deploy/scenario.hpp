@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "deploy/anchors.hpp"
@@ -45,6 +46,11 @@ struct ScenarioConfig {
   /// build; see fault/fault.hpp.
   FaultSpec faults{};
   std::uint64_t seed = 1;
+
+  /// Empty when build_scenario accepts this config, else the reason. A
+  /// field the serve schema also carries is named as the schema spells it
+  /// (`nodes`, `radio_range`, `noise`).
+  [[nodiscard]] std::string validate() const;
 };
 
 struct Scenario {

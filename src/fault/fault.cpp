@@ -28,14 +28,35 @@ std::size_t FaultLabels::crashed_count() const noexcept {
                     [](std::size_t r) { return r != kNeverCrashes; }));
 }
 
+std::string FaultSpec::validate() const {
+  if (!any()) return {};
+  if (outlier_fraction > 0.0) {
+    if (!(outlier_fraction <= 1.0)) return "outlier_fraction must be <= 1";
+    if (!(outlier_tail_scale > 0.0)) return "outlier_tail_scale must be > 0";
+  }
+  if (crash_fraction > 0.0 && crash_round_min > crash_round_max)
+    return "crash_round_min must be <= crash_round_max";
+  if (reboot_fraction > 0.0) {
+    if (reboot_delay_min > reboot_delay_max)
+      return "reboot_delay_min must be <= reboot_delay_max";
+    if (reboot_delay_min < 1)
+      return "reboot_delay_min must be >= 1: a node cannot reboot in its "
+             "death round";
+  }
+  return {};
+}
+
+FaultInjector::FaultInjector(const FaultSpec& spec) : spec_(spec) {
+  BNLOC_ASSERT_VALID(spec_);
+}
+
 std::vector<unsigned char> FaultInjector::contaminate_links(
     std::vector<Edge>& edges, std::span<const Vec2> positions,
     const RangingSpec& ranging, Rng& rng) const {
   std::vector<unsigned char> outlier(edges.size(), 0);
   if (spec_.outlier_fraction <= 0.0) return outlier;
-  BNLOC_ASSERT(spec_.outlier_fraction <= 1.0, "outlier fraction > 1");
+  BNLOC_ASSERT(ranging.range > 0.0, "ranging range must be positive");
   const double scale = spec_.outlier_tail_scale * ranging.range;
-  BNLOC_ASSERT(scale > 0.0, "outlier tail scale must be positive");
   std::size_t injected = 0;
   for (std::size_t e = 0; e < edges.size(); ++e) {
     if (!rng.bernoulli(spec_.outlier_fraction)) continue;
@@ -80,8 +101,6 @@ std::vector<std::size_t> FaultInjector::schedule_crashes(
     std::size_t node_count, Rng& rng) const {
   std::vector<std::size_t> death(node_count, kNeverCrashes);
   if (spec_.crash_fraction <= 0.0) return death;
-  BNLOC_ASSERT(spec_.crash_round_min <= spec_.crash_round_max,
-               "crash round window inverted");
   const std::size_t span = spec_.crash_round_max - spec_.crash_round_min + 1;
   std::size_t scheduled = 0;
   for (std::size_t i = 0; i < node_count; ++i)
@@ -96,10 +115,6 @@ std::vector<std::size_t> FaultInjector::schedule_crashes(
 std::vector<std::size_t> FaultInjector::schedule_reboots(
     std::span<const std::size_t> death_rounds, Rng& rng) const {
   if (spec_.reboot_fraction <= 0.0) return {};
-  BNLOC_ASSERT(spec_.reboot_delay_min <= spec_.reboot_delay_max,
-               "reboot delay window inverted");
-  BNLOC_ASSERT(spec_.reboot_delay_min >= 1,
-               "a node cannot reboot in its death round");
   std::vector<std::size_t> reboot(death_rounds.size(), kNeverCrashes);
   const std::size_t span =
       spec_.reboot_delay_max - spec_.reboot_delay_min + 1;

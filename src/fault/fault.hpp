@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -75,6 +76,11 @@ struct FaultSpec {
     return outlier_fraction > 0.0 || faulty_anchor_fraction > 0.0 ||
            crash_fraction > 0.0;
   }
+
+  /// Empty when FaultInjector accepts this spec, else the reason. Each
+  /// family's window is checked only while its fraction is > 0, and an
+  /// empty spec (`!any()`) injects nothing, so it is always valid.
+  [[nodiscard]] std::string validate() const;
 };
 
 /// Ground-truth record of what was injected. Evaluation-only: a Localizer
@@ -105,7 +111,7 @@ struct FaultLabels {
 /// scenario seed by build_scenario, so scenarios stay deterministic).
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultSpec& spec) noexcept : spec_(spec) {}
+  explicit FaultInjector(const FaultSpec& spec);
 
   /// Contaminate measured link distances in place. `positions` supplies the
   /// true geometry for the outlier re-draw; returns per-*edge* labels in the

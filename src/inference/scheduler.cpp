@@ -17,11 +17,7 @@ ResidualScheduler::ResidualScheduler(const ScheduleConfig& config,
       pub_residual_(node_count, 0.0),
       node_accum_(node_count, 0.0),
       seen_accum_(slot_count, 0.0) {
-  BNLOC_ASSERT(config_.link_budget_frac > 0.0 &&
-                   config_.link_budget_frac <= 1.0,
-               "link budget must be a fraction in (0, 1]");
-  BNLOC_ASSERT(config_.starvation_rounds >= 1,
-               "starvation floor must allow at least one deferral round");
+  BNLOC_ASSERT_VALID(config_);
   ver_accum_.reserve(4 * node_count);
   ver_accum_.push_back(0.0);  // version 0 = never published
 }

@@ -20,6 +20,26 @@ std::uint64_t pair_key(std::size_t from, std::size_t to, std::size_t n) {
 
 }  // namespace
 
+std::string AsyncRadioConfig::validate() const {
+  if (!(loss >= 0.0 && loss < 1.0)) return "loss must be in [0, 1)";
+  // A negative ACK loss means "same as loss", which is checked above.
+  if (!(ack_loss < 1.0))
+    return "ack_loss must be < 1 (negative means same as loss)";
+  if (!(latency >= 0.0)) return "latency must be >= 0";
+  if (!(latency_jitter >= 0.0)) return "latency_jitter must be >= 0";
+  if (!(duty_cycle > 0.0 && duty_cycle <= 1.0))
+    return "duty_cycle must be in (0, 1]";
+  if (!(clock_skew >= 0.0 && clock_skew < 1.0))
+    return "clock_skew must be in [0, 1)";
+  if (!(backoff_base > 0.0)) return "backoff_base must be > 0";
+  if (!(backoff_factor >= 1.0)) return "backoff_factor must be >= 1";
+  if (!(backoff_cap >= backoff_base))
+    return "backoff_cap must be >= backoff_base";
+  if (flap_rate > 0.0 && !(flap_downtime > 0.0))
+    return "flap_downtime must be > 0 when flap_rate > 0";
+  return {};
+}
+
 AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
                        Rng rng, std::span<const std::size_t> death_rounds,
                        std::span<const std::size_t> reboot_rounds)
@@ -28,20 +48,8 @@ AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
       rng_(rng),
       death_rounds_(death_rounds.begin(), death_rounds.end()),
       reboot_rounds_(reboot_rounds.begin(), reboot_rounds.end()) {
-  BNLOC_ASSERT(cfg_.loss >= 0.0 && cfg_.loss < 1.0,
-               "loss probability out of range");
+  BNLOC_ASSERT_VALID(cfg_);
   ack_loss_ = cfg_.ack_loss < 0.0 ? cfg_.loss : cfg_.ack_loss;
-  BNLOC_ASSERT(ack_loss_ >= 0.0 && ack_loss_ < 1.0,
-               "ack loss probability out of range");
-  BNLOC_ASSERT(cfg_.latency >= 0.0 && cfg_.latency_jitter >= 0.0,
-               "latency parameters out of range");
-  BNLOC_ASSERT(cfg_.duty_cycle > 0.0 && cfg_.duty_cycle <= 1.0,
-               "duty cycle must be in (0, 1]");
-  BNLOC_ASSERT(cfg_.clock_skew >= 0.0 && cfg_.clock_skew < 1.0,
-               "clock skew must be in [0, 1)");
-  BNLOC_ASSERT(cfg_.backoff_base > 0.0 && cfg_.backoff_factor >= 1.0 &&
-                   cfg_.backoff_cap >= cfg_.backoff_base,
-               "backoff ladder misconfigured");
   const std::size_t n = graph.node_count();
   BNLOC_ASSERT(death_rounds_.empty() || death_rounds_.size() == n,
                "death schedule size mismatch");
@@ -99,7 +107,6 @@ AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
 
   // Seed the churn process: one pending link_down per undirected link.
   if (cfg_.flap_rate > 0.0) {
-    BNLOC_ASSERT(cfg_.flap_downtime > 0.0, "flap downtime must be positive");
     for (std::uint32_t link = 0;
          link < static_cast<std::uint32_t>(link_up_.size()); ++link) {
       Event e;

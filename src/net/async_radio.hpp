@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <queue>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -99,6 +100,9 @@ struct AsyncRadioConfig {
   double flap_rate = 0.0;
   double flap_downtime = 1.0;
   PartitionSpec partition;
+
+  /// Empty when AsyncRadio accepts this config, else the reason.
+  [[nodiscard]] std::string validate() const;
 };
 
 /// One accepted delivery, as `deliveries()` reports it: the receiver-side

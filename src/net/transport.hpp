@@ -5,13 +5,14 @@
 // summary that is depends on the link layer underneath, chosen once by
 // `TransportConfig::async`:
 //
-//  * sync (default): SyncRadio lockstep rounds with i.i.d. per-round loss
-//    (`iteration.packet_loss`). Each sender keeps its current and previous
+//  * sync (default): SyncRadio lockstep rounds with i.i.d. loss, drawn once
+//    per directed link per round (`transport.radio.loss`). Each sender keeps
+//    its current and previous
 //    summary; a slot serves the current one when this round's delivery
 //    succeeded and the previous one otherwise — the textbook idealization of
 //    a broadcast protocol with a one-deep sender cache.
-//  * async: the event-driven AsyncRadio (per-attempt loss
-//    `transport.radio.loss`, latency, retries, churn, partitions). Senders
+//  * async: the event-driven AsyncRadio (the same loss, drawn per attempt,
+//    plus latency, retries, churn, partitions). Senders
 //    keep a short history of published payloads (bounded by the radio's
 //    worst-case in-flight horizon, so a retried packet can always find its
 //    body) and each slot holds an inbox with the newest *accepted* summary,
@@ -38,6 +39,7 @@
 #include <deque>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,25 +53,27 @@
 
 namespace bnloc {
 
-/// Transport selection and async-degradation knobs, shared by every engine.
-/// Defaults preserve the synchronous lockstep transport; `async = true`
-/// swaps in the event-driven AsyncRadio (net/async_radio.hpp) plus the
-/// graceful-degradation ladder (sequence-gated summaries, heartbeats,
-/// store-and-forward re-entry).
+/// Transport selection, shared by every engine. Defaults preserve the
+/// synchronous lockstep transport; `async = true` swaps in the event-driven
+/// AsyncRadio (net/async_radio.hpp) plus the graceful-degradation ladder
+/// (sequence-gated summaries, heartbeats, store-and-forward re-entry).
 struct TransportConfig {
   bool async = false;
-  /// Link-layer parameters for the async transport (loss, latency, retry
-  /// ladder, duty cycle, churn, partitions). Ignored when `async` is false.
+  /// Link-layer parameters (loss, latency, retry ladder, duty cycle, churn,
+  /// partitions). `radio.loss` is the one loss knob of both transports;
+  /// the rest is read by the async transport only.
   AsyncRadioConfig radio;
-  /// Heartbeat republish period, in rounds: a quiet (converged) node whose
-  /// last summary may have been dropped re-broadcasts at least this often,
-  /// so silence is never mistaken for agreement. 0 disables.
-  std::size_t heartbeat_rounds = 8;
-  /// Warm re-entry: when a node reboots, each live published neighbor
-  /// store-and-forward relays its newest summary to it, re-seeding the
-  /// rebooted node's inbox in one hop instead of waiting out the
-  /// publish-gate silence of converged neighbors.
-  bool reboot_relays = true;
+
+  /// Empty when the selected transport accepts this config, else the
+  /// reason. The sync radio reads only the loss, so it is held to the
+  /// async radio's checks on a radio that differs from the defaults in the
+  /// loss alone.
+  [[nodiscard]] std::string validate() const {
+    AsyncRadioConfig sync_radio;
+    sync_radio.loss = radio.loss;
+    const std::string why = (async ? radio : sync_radio).validate();
+    return why.empty() ? why : "radio." + why;
+  }
 };
 
 template <typename Payload>
@@ -86,15 +90,20 @@ class Transport {
     std::uint64_t ver = 0;
   };
 
-  /// `packet_loss` is the sync per-round drop probability and is ignored
-  /// under async (which draws per attempt from `config.radio.loss`);
+  /// Heartbeat republish period of the async transport, in rounds: a
+  /// quiet (converged) node whose last summary may have been dropped
+  /// re-broadcasts at least this often, so silence is never mistaken for
+  /// agreement.
+  static constexpr std::size_t kHeartbeatRounds = 8;
+
   /// `stale_ttl` is the retirement TTL in rounds (0 disables). Both radios
-  /// take the same `rng`, so a config differing only in `config.async`
-  /// compares the same scenario under the two link layers.
+  /// take the same `rng` and draw from the same `config.radio.loss`, so a
+  /// config differing only in `config.async` compares the same scenario
+  /// under the two link layers.
   Transport(const Scenario& scenario, const TransportConfig& config,
-            double packet_loss, std::size_t stale_ttl, Rng rng)
-      : heartbeat_(config.async ? config.heartbeat_rounds
-                                : (packet_loss > 0.0 ? 1 : 0)),
+            std::size_t stale_ttl, Rng rng)
+      : heartbeat_(config.async ? kHeartbeatRounds
+                                : (config.radio.loss > 0.0 ? 1 : 0)),
         ttl_(stale_ttl) {
     const Graph& graph = scenario.graph;
     const std::size_t n = graph.node_count();
@@ -115,8 +124,8 @@ class Transport {
       inbox_.resize(offsets_[n]);
       inbox_ver_.assign(offsets_[n], 0);
     } else {
-      sync_.emplace(graph, packet_loss, rng, scenario.faults.death_round,
-                    scenario.faults.reboot_round);
+      sync_.emplace(graph, config.radio.loss, rng,
+                    scenario.faults.death_round, scenario.faults.reboot_round);
       prev_.resize(n);
       track_reboots_ = !scenario.faults.reboot_round.empty();
       if (ttl_ > 0) last_heard_.assign(offsets_[n], 0);
@@ -253,8 +262,8 @@ class Transport {
     return stale;
   }
 
-  /// Longest a quiet sender may stay silent before it must republish: the
-  /// configured heartbeat under async; under sync 1 with packet loss (a
+  /// Longest a quiet sender may stay silent before it must republish:
+  /// kHeartbeatRounds under async; under sync 1 with loss (a
   /// receiver that misses a delivery falls back to the previous summary,
   /// so a silent sender would leave it alternating between two versions)
   /// and 0 (never) without.

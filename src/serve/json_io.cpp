@@ -1,9 +1,11 @@
 #include "serve/json_io.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "obs/json.hpp"
 
@@ -248,7 +250,12 @@ bool want_count(const JsonValue& v, const char* field, std::size_t& out,
                 std::string* error) {
   double d = 0.0;
   if (!want_number(v, field, d, error)) return false;
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d)))
+  // Range-check before the cast: converting a double outside the range of
+  // std::size_t (e.g. 1e20 or inf) is undefined behaviour.
+  const double limit =
+      std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(d >= 0.0 && d < limit) ||
+      d != static_cast<double>(static_cast<std::size_t>(d)))
     return decode_fail(error,
                        std::string(field) + " must be a non-negative integer");
   out = static_cast<std::size_t>(d);
@@ -388,11 +395,6 @@ bool decode_engine_config(const JsonValue& v, ServeRequest& req,
       if (!want_number(val, "engine_config.convergence_tol", tol, error))
         return false;
       all_iteration([tol](IterationConfig& it) { it.convergence_tol = tol; });
-    } else if (key == "packet_loss") {
-      double loss = 0.0;
-      if (!want_number(val, "engine_config.packet_loss", loss, error))
-        return false;
-      all_iteration([loss](IterationConfig& it) { it.packet_loss = loss; });
     } else if (key == "grid_side") {
       if (!want_count(val, "engine_config.grid_side", req.grid.grid_side,
                       error))

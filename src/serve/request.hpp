@@ -68,8 +68,11 @@ struct ServeResponse {
   double seconds = 0.0;
 };
 
-/// Validate the parts of a request the engines would otherwise choke on.
-/// Returns an empty string when valid, else the reason.
+/// Check a request against the invariants its scenario and the selected
+/// engine's constructor assert (each config's own `validate()`), so a bad
+/// request fails alone instead of aborting the service. Returns an empty
+/// string when valid, else the reason, prefixed `scenario: ` or
+/// `engine_config: `.
 [[nodiscard]] std::string validate(const ServeRequest& request);
 
 /// Construct the configured engine for a request (the engine config

@@ -26,6 +26,17 @@ namespace bnloc::detail {
       ::bnloc::detail::assert_fail(#expr, __FILE__, __LINE__, msg);  \
   } while (false)
 
+// The one assert a constructor holds on its config: aborts with the reason
+// `config.validate()` returns unless it is empty. Callers that must not
+// abort (the serve layer) call validate() themselves first.
+#define BNLOC_ASSERT_VALID(config)                                       \
+  do {                                                                   \
+    const auto bnloc_why_ = (config).validate();                         \
+    if (!bnloc_why_.empty()) [[unlikely]]                                \
+      ::bnloc::detail::assert_fail(#config ".validate()", __FILE__,      \
+                                   __LINE__, bnloc_why_.c_str());        \
+  } while (false)
+
 #ifdef NDEBUG
 #define BNLOC_DEBUG_ASSERT(expr, msg) ((void)0)
 #else

@@ -25,7 +25,6 @@ IterationConfig sample_iteration() {
   IterationConfig it;
   it.max_iterations = 33;
   it.convergence_tol = 0.0625;
-  it.packet_loss = 0.375;
   return it;
 }
 
@@ -40,35 +39,40 @@ void expect_equal(const RobustnessConfig& a, const RobustnessConfig& b) {
 void expect_equal(const IterationConfig& a, const IterationConfig& b) {
   EXPECT_EQ(a.max_iterations, b.max_iterations);
   EXPECT_EQ(a.convergence_tol, b.convergence_tol);
-  EXPECT_EQ(a.packet_loss, b.packet_loss);
 }
 
 TEST(EngineConfig, GridRoundTripsSharedKnobs) {
   GridBnclConfig cfg;
   cfg.iteration = sample_iteration();
   cfg.robustness = sample_robustness();
+  cfg.transport.radio.loss = 0.375;
   const GridBncl engine(cfg);
   expect_equal(engine.config().iteration, sample_iteration());
   expect_equal(engine.config().robustness, sample_robustness());
+  EXPECT_EQ(engine.config().transport.radio.loss, 0.375);
 }
 
 TEST(EngineConfig, ParticleRoundTripsSharedKnobs) {
   ParticleBnclConfig cfg;
   cfg.iteration = sample_iteration();
   cfg.robustness = sample_robustness();
+  cfg.transport.radio.loss = 0.375;
   const ParticleBncl engine(cfg);
   expect_equal(engine.config().iteration, sample_iteration());
   expect_equal(engine.config().robustness, sample_robustness());
+  EXPECT_EQ(engine.config().transport.radio.loss, 0.375);
 }
 
 TEST(EngineConfig, GaussianRoundTripsSharedKnobs) {
   GaussianBnclConfig cfg;
   cfg.iteration = sample_iteration();
   cfg.robustness = sample_robustness();
+  cfg.transport.radio.loss = 0.375;
   cfg.huber_k = 2.5;
   const GaussianBncl engine(cfg);
   expect_equal(engine.config().iteration, sample_iteration());
   expect_equal(engine.config().robustness, sample_robustness());
+  EXPECT_EQ(engine.config().transport.radio.loss, 0.375);
   EXPECT_EQ(engine.config().huber_k, 2.5);
 }
 
@@ -116,8 +120,7 @@ TEST(EngineConfig, SharedDefaultsAreNeutral) {
   EXPECT_FALSE(r.robust_likelihood);
   EXPECT_FALSE(r.anchor_vetting);
   EXPECT_EQ(r.stale_ttl, 0u);
-  const IterationConfig it;
-  EXPECT_EQ(it.packet_loss, 0.0);
+  EXPECT_EQ(TransportConfig{}.radio.loss, 0.0);
 }
 
 TEST(Version, MacroAndFunctionAgree) {

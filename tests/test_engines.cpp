@@ -111,19 +111,19 @@ TEST_P(EngineSuite, SurvivesPacketLoss) {
   switch (GetParam()) {
     case 0: {
       GridBnclConfig c;
-      c.iteration.packet_loss = 0.3;
+      c.transport.radio.loss = 0.3;
       engine = std::make_unique<GridBncl>(c);
       break;
     }
     case 1: {
       ParticleBnclConfig c;
-      c.iteration.packet_loss = 0.3;
+      c.transport.radio.loss = 0.3;
       engine = std::make_unique<ParticleBncl>(c);
       break;
     }
     default: {
       GaussianBnclConfig c;
-      c.iteration.packet_loss = 0.3;
+      c.transport.radio.loss = 0.3;
       engine = std::make_unique<GaussianBncl>(c);
       break;
     }
@@ -350,7 +350,7 @@ TEST(GridBncl, FastPathIsBitIdentical) {
   {
     SCOPED_TRACE("packet loss");
     GridBnclConfig cfg;
-    cfg.iteration.packet_loss = 0.2;
+    cfg.transport.radio.loss = 0.2;
     expect_same(run(s, cfg, true), run(s, cfg, false));
   }
   {

@@ -171,6 +171,23 @@ TEST(ServeRequestDecode, UnknownFieldsAreErrors) {
   EXPECT_NE(error.find("node_count"), std::string::npos);
 }
 
+// Counts are range-checked before the double -> std::size_t cast, which is
+// undefined behaviour for values outside std::size_t (1e999 parses as inf).
+TEST(ServeRequestDecode, CountsBeyondSizeTAreErrors) {
+  const char* cases[] = {R"({"engine_config": {"grid_side": 1e20}})",
+                         R"({"scenario": {"nodes": 1e999}})"};
+  for (const char* text : cases) {
+    SCOPED_TRACE(text);
+    JsonValue v;
+    ASSERT_TRUE(parse_json(text, v, nullptr));
+    ServeRequest req;
+    std::string error;
+    EXPECT_FALSE(parse_serve_request(v, req, &error));
+    EXPECT_NE(error.find("must be a non-negative integer"), std::string::npos)
+        << error;
+  }
+}
+
 TEST(ServeRequestDecode, EngineThreadsKnobIsRejected) {
   JsonValue v;
   ServeRequest req;
@@ -317,30 +334,128 @@ TEST(BatchService, InvalidRequestsEmitFailureLinesWithoutStoppingTheBatch) {
 
 // Single-request batches that used to trip an engine or radio assertion and
 // abort the whole service: each must stream one ok=false line that names
-// the offending knob.
+// the offending knob. A row sets its fields through the request JSON where
+// the schema has them, then on the decoded ServeRequest (`mutate`); there is
+// one row per invariant a constructor asserts.
 TEST(BatchService, EngineInvariantViolationsFailTheRequestNotTheProcess) {
   struct Case {
-    const char* engine_config;
+    const char* request;  ///< JSON members after "id"; may be empty.
+    void (*mutate)(ServeRequest&);
     const char* field;
   };
   const Case cases[] = {
-      {R"({"grid_side": 6})", "grid_side"},
-      {R"({"pyramid_levels": 0})", "pyramid_levels"},
-      {R"({"update_quorum": 2.0})", "update_quorum"},
-      {R"({"packet_loss": 1.0})", "packet_loss"},
-      {R"({"async": true, "loss": 1.0})", "loss"},
+      // Scenario: build_scenario, deploy, FaultInjector.
+      {R"("scenario": {"nodes": 1})", nullptr, "nodes"},
+      {R"("scenario": {"anchor_fraction": 1.5})", nullptr, "anchor_fraction"},
+      {R"("scenario": {"radio_range": 1e999})", nullptr, "radio_range"},
+      {R"("engine": "gauss", "scenario": {"noise": 1e999})", nullptr, "noise"},
+      {"", [](ServeRequest& r) { r.scenario.deployment.field = {}; },
+       "deployment.field"},
+      {R"("scenario": {"deployment": "clusters"})",
+       [](ServeRequest& r) { r.scenario.deployment.cluster_count = 0; },
+       "deployment.cluster_count"},
+      {"", [](ServeRequest& r) { r.scenario.faults.outlier_fraction = 1.5; },
+       "faults.outlier_fraction"},
+      {"",
+       [](ServeRequest& r) {
+         r.scenario.faults.outlier_fraction = 0.2;
+         r.scenario.faults.outlier_tail_scale = 0.0;
+       },
+       "faults.outlier_tail_scale"},
+      {"",
+       [](ServeRequest& r) {
+         r.scenario.faults.crash_fraction = 0.2;
+         r.scenario.faults.crash_round_min = 9;
+         r.scenario.faults.crash_round_max = 3;
+       },
+       "faults.crash_round_min"},
+      {"",
+       [](ServeRequest& r) {
+         r.scenario.faults.crash_fraction = 0.2;
+         r.scenario.faults.reboot_fraction = 0.5;
+         r.scenario.faults.reboot_delay_min = 0;
+       },
+       "faults.reboot_delay_min"},
+      {"",
+       [](ServeRequest& r) {
+         r.scenario.faults.crash_fraction = 0.2;
+         r.scenario.faults.reboot_fraction = 0.5;
+         r.scenario.faults.reboot_delay_min = 8;
+         r.scenario.faults.reboot_delay_max = 4;
+       },
+       "reboot_delay_max"},
+      // Grid engine, with its robustness and schedule blocks.
+      {R"("engine_config": {"grid_side": 6})", nullptr, "grid_side"},
+      {R"("engine_config": {"pyramid_levels": 0})", nullptr, "pyramid_levels"},
+      {R"("engine_config": {"update_quorum": 2.0})", nullptr, "update_quorum"},
+      {"", [](ServeRequest& r) { r.grid.damping = 1.5; }, "damping"},
+      {"",
+       [](ServeRequest& r) {
+         r.grid.sched.policy = SchedulePolicy::residual;
+         r.grid.reuse_messages = false;
+       },
+       "reuse_messages"},
+      {"",
+       [](ServeRequest& r) {
+         r.grid.sched.policy = SchedulePolicy::residual;
+         r.grid.sched.link_budget_frac = 0.0;
+       },
+       "sched.link_budget_frac"},
+      {"",
+       [](ServeRequest& r) {
+         r.grid.sched.policy = SchedulePolicy::residual;
+         r.grid.sched.starvation_rounds = 0;
+       },
+       "sched.starvation_rounds"},
+      // Transport: the one loss knob on both radios, then the async radio.
+      {R"("engine_config": {"loss": 1.0})", nullptr, "loss"},
+      {R"("engine_config": {"async": true, "loss": 1.0})", nullptr, "loss"},
+      {R"("engine_config": {"async": true, "latency": -1})", nullptr,
+       "latency"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.latency_jitter = -1.0; },
+       "radio.latency_jitter"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.duty_cycle = 0.0; },
+       "radio.duty_cycle"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.ack_loss = 1.0; },
+       "radio.ack_loss"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.clock_skew = 1.0; },
+       "radio.clock_skew"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.backoff_base = 0.0; },
+       "radio.backoff_base"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.backoff_factor = 0.5; },
+       "radio.backoff_factor"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) { r.grid.transport.radio.backoff_cap = 0.1; },
+       "radio.backoff_cap"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) {
+         r.grid.transport.radio.flap_rate = 0.1;
+         r.grid.transport.radio.flap_downtime = 0.0;
+       },
+       "radio.flap_downtime"},
+      // Particle and Gaussian engines.
+      {R"("engine": "particle", "engine_config": {"particle_count": 4})",
+       nullptr, "particle_count"},
+      {R"("engine": "gauss")",
+       [](ServeRequest& r) { r.gauss.damping = -0.5; }, "damping"},
   };
   BatchService service(ServeConfig{.threads = 1});
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.engine_config);
-    const std::string text =
-        std::string(R"({"id": "r", "engine_config": )") + c.engine_config +
-        "}";
+    SCOPED_TRACE(std::string(c.request) + " / " + c.field);
+    const std::string text = std::string(R"({"id": "r")") +
+                             (*c.request ? ", " : "") + c.request + "}";
     JsonValue v;
     ASSERT_TRUE(parse_json(text, v, nullptr));
     ServeRequest req;
     std::string error;
     ASSERT_TRUE(parse_serve_request(v, req, &error)) << error;
+    if (c.mutate) c.mutate(req);
     std::vector<std::string> lines;
     (void)service.run_batch({req},
                             [&](const ServeResponse&, std::string_view line) {

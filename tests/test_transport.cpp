@@ -51,7 +51,9 @@ constexpr std::uint64_t kStale = Transport<int>::kStale;
 
 TEST(Transport, DroppedSyncDeliveryServesThePreviousSummary) {
   const Scenario s = triangle_world();
-  Transport<int> t(s, {}, 0.5, 0, Rng(7));
+  TransportConfig lossy;
+  lossy.radio.loss = 0.5;
+  Transport<int> t(s, lossy, 0, Rng(7));
   // Same graph, loss and seed: replays the transport's delivery draws.
   SyncRadio mirror(s.graph, 0.5, Rng(7));
   std::size_t fresh = 0, fallback = 0;
@@ -82,7 +84,7 @@ TEST(Transport, DroppedSyncDeliveryServesThePreviousSummary) {
 TEST(Transport, TtlRetiresASlotAfterTtlUndeliveredRounds) {
   // Node 1 transmits through round 2, then is dead for good.
   const Scenario s = triangle_world({kNeverCrashes, 2, kNeverCrashes});
-  Transport<int> t(s, {}, 0.0, 3, Rng(1));
+  Transport<int> t(s, {}, 3, Rng(1));
   const std::size_t slot = slot_of(s, t, 1, 0);
   for (std::uint64_t round = 1; round <= 7; ++round) {
     t.begin_round();
@@ -102,7 +104,7 @@ TEST(Transport, TtlRetiresASlotAfterTtlUndeliveredRounds) {
       EXPECT_EQ(t.stale_links(), 4u);
     }
   }
-  Transport<int> off(s, {}, 0.0, 0, Rng(1));
+  Transport<int> off(s, {}, 0, Rng(1));
   for (std::uint64_t round = 1; round <= 7; ++round) off.begin_round();
   EXPECT_EQ(off.stale_links(), 0u);  // TTL off: nothing retires
 }
@@ -112,7 +114,7 @@ TEST(Transport, RebootGivesATtlGrace) {
   // stays dead, so 0 <- 1 is never delivered again.
   const Scenario s = triangle_world({2, 2, kNeverCrashes},
                                     {8, kNeverCrashes, kNeverCrashes});
-  Transport<int> t(s, {}, 0.0, 3, Rng(1));
+  Transport<int> t(s, {}, 3, Rng(1));
   const std::size_t slot = slot_of(s, t, 1, 0);
   for (std::uint64_t round = 1; round <= 12; ++round) {
     t.begin_round();
@@ -137,7 +139,7 @@ TEST(Transport, CrashedReceiverHearsNothing) {
   const Scenario s = triangle_world({1, kNeverCrashes, kNeverCrashes});
   {
     SCOPED_TRACE("sync");
-    Transport<int> t(s, {}, 0.0, 2, Rng(1));
+    Transport<int> t(s, {}, 2, Rng(1));
     for (std::uint64_t round = 1; round <= 4; ++round) {
       t.begin_round();
       publish_all(t, round);
@@ -150,7 +152,7 @@ TEST(Transport, CrashedReceiverHearsNothing) {
     TransportConfig cfg;
     cfg.async = true;
     cfg.radio.latency = 0.1;
-    Transport<int> t(s, cfg, 0.0, 0, Rng(1));
+    Transport<int> t(s, cfg, 0, Rng(1));
     for (std::uint64_t round = 1; round <= 6; ++round) {
       t.begin_round();
       publish_all(t, round);
@@ -167,7 +169,7 @@ TEST(Transport, AsyncInboxRelayAndTransform) {
   TransportConfig cfg;
   cfg.async = true;
   cfg.radio.latency = 0.1;
-  Transport<int> t(s, cfg, 0.0, 0, Rng(3));
+  Transport<int> t(s, cfg, 0, Rng(3));
   const std::size_t slot = slot_of(s, t, 1, 0);
   t.begin_round();  // round 1
   t.publish(1, 1, 111, 4);
@@ -196,7 +198,7 @@ TEST(Transport, AsyncInboxRelayAndTransform) {
   EXPECT_EQ(t.newest(1).ver, 1u);
   EXPECT_EQ(t.newest(2).payload, nullptr);  // never published
   // Relays are async-only store-and-forward.
-  Transport<int> sync(s, {}, 0.0, 0, Rng(3));
+  Transport<int> sync(s, {}, 0, Rng(3));
   sync.begin_round();
   sync.publish(1, 1, 111, 4);
   sync.relay(1, 0, 4);
