@@ -166,6 +166,32 @@ struct NodeWork {
   std::uint64_t quorum_held = 0;
 };
 
+/// One input slot's cached message: the summary version it was computed
+/// from (0: none), whether it had support, and its support box inside the
+/// receiver's ROI with the message's cells there, row-major. Outside the
+/// box the message is its slot kind's outside value (MessageBuffers). The
+/// cells' storage only grows within a level, so a slot holds as many cells
+/// as its largest message of the level.
+struct SlotMessage {
+  std::uint64_t ver = 0;
+  bool skip = false;
+  CellBox box;
+  std::vector<double> cells;
+};
+
+/// One thread's dense message buffers, one per slot kind, each laid out
+/// over the receiver's ROI (a prefix holds node i's box). Each is held at
+/// its kind's value outside a message's support box — 0 for a link (a
+/// range message is zero beyond its summary's reach), 1 for a non-link
+/// (one minus a link probability that is zero there) — so a message built
+/// or replayed over its support box reads as the whole message. After the
+/// multiply the buffer is restored over that box.
+struct MessageBuffers {
+  explicit MessageBuffers(std::size_t cells)
+      : link(cells, 0.0), nonlink(cells, 1.0) {}
+  std::vector<double> link, nonlink;
+};
+
 /// The state of one localize() call, with one function per phase.
 ///
 /// Input slots: every factor a node multiplies into its belief has one
@@ -191,6 +217,9 @@ class GridRun {
   /// Fold the round's work, report it, and test convergence; true when
   /// the level is done.
   bool close_round(LocalizationResult& result, std::size_t level_round);
+  /// Count the level's grid state once its rounds are done, when the
+  /// message cache holds its end-of-level cells.
+  void count_state_bytes();
   void finish(LocalizationResult& result);
 
  private:
@@ -207,9 +236,9 @@ class GridRun {
     for (std::size_t s = nl_off_[i]; s < nl_off_[i + 1]; ++s) fn(s);
   }
   void decide_publish(std::size_t u, std::vector<std::uint32_t>& order);
-  void update_node(std::size_t i, std::vector<double>& scratch, NodeWork& w);
-  bool compute_message(std::size_t s, const SlotInput& in, BoxView buf,
-                       NodeWork& w);
+  void update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w);
+  std::optional<CellBox> compute_message(std::size_t s, const SlotInput& in,
+                                         BoxView buf, NodeWork& w);
   void emit_estimates(LocalizationResult& result);
 
   // --- Run-wide -----------------------------------------------------------
@@ -261,15 +290,13 @@ class GridRun {
   char visits_name_[48] = {};
   std::vector<CellBox> roi_;
   std::optional<BeliefStore> prior_, belief_, staged_, last_pub_;
-  std::optional<BeliefStore> product_;    ///< whole-product reuse
-  std::optional<BeliefStore> msg_store_;  ///< message cache, per slot
+  std::optional<BeliefStore> product_;  ///< whole-product reuse
+  std::vector<SlotMessage> msg_;        ///< message cache, per slot
   std::optional<KernelCache> kcache_;
   std::vector<const RangeKernel*> link_kernel_;  ///< per link slot
   RangeKernel conn_kernel_;                      ///< non-link messages
   bool reuse_ = false;         ///< message cache on at this level
   bool sched_active_ = false;  ///< residual policy with the cache on
-  std::vector<std::uint64_t> msg_ver_;   ///< version cached per slot; 0 = none
-  std::vector<unsigned char> msg_skip_;  ///< cached message had no support
   std::vector<unsigned char> have_product_;
   // Per-slot signature of what the node's last recompute consumed.
   std::vector<std::uint64_t> in_sig_;
@@ -361,7 +388,7 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
   staged_.reset();
   last_pub_.reset();
   product_.reset();
-  msg_store_.reset();
+  msg_.clear();
   kcache_.reset();
 
   // --- Belief state at this level -----------------------------------------
@@ -500,34 +527,29 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
                      : RangeKernel();
 
   // --- Message cache ------------------------------------------------------
-  // One buffer per input slot, holding the last message computed for it and
+  // One entry per input slot, holding the last message computed for it and
   // the summary version it came from. A message is a pure function of
   // (kernel, summary), so replaying the stored copy is bit-identical to
-  // recomputing it. Only the receiver's ROI of a message is ever read, so
-  // each slot is packed to that box; receivers that act as anchors consume
-  // nothing and hold no cells. Degrades to recompute (counted in
-  // `grid.message_cache.degraded`) when the packed footprint would blow the
-  // configured budget. Rebuilt per level: a message computed at one
+  // recomputing it. An entry holds only the message's support box inside
+  // the receiver's ROI (SlotMessage); receivers that act as anchors consume
+  // nothing and hold no cells. The budget tests the worst case, every
+  // slot's message filling its receiver's ROI, so whether a level degrades
+  // to recompute (counted in `grid.message_cache.degraded`) does not depend
+  // on the messages. Rebuilt per level: a message computed at one
   // resolution means nothing at another.
   reuse_ = config_.reuse_messages;
   if (reuse_) {
-    std::vector<CellBox> slot_box(n_slots_);  // anchors' slots stay empty
-    std::size_t msg_cells = 0;
+    std::size_t worst_cells = 0;
     for (std::size_t i = 0; i < n_; ++i) {
       if (roles_.acts_anchor(i)) continue;
-      for_slots(i, [&](std::size_t s) {
-        slot_box[s] = roi_[i];
-        msg_cells += roi_[i].cell_count();
-      });
+      for_slots(i, [&](std::size_t) { worst_cells += roi_[i].cell_count(); });
     }
-    if (msg_cells * sizeof(double) >
+    if (worst_cells * sizeof(double) >
         config_.message_cache_mb * std::size_t{1024} * 1024) {
       reuse_ = false;
       obs::count("grid.message_cache.degraded");
     } else {
-      msg_store_.emplace(shape_, std::move(slot_box));
-      msg_ver_.assign(n_slots_, 0);
-      msg_skip_.assign(n_slots_, 0);
+      msg_.resize(n_slots_);
     }
   }
   // Residual scheduling needs the message cache to replay deferred links
@@ -550,10 +572,6 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
     have_product_.assign(n_, 0);
     in_sig_.assign(n_slots_, kNeverIntegrated);
   }
-  obs::count("grid.state_bytes",
-             prior_->bytes() + belief_->bytes() + staged_->bytes() +
-                 last_pub_->bytes() + (product_ ? product_->bytes() : 0) +
-                 (msg_store_ ? msg_store_->bytes() : 0));
 
   // --- Level round budget -------------------------------------------------
   // Coarse levels take an equal slice of the round budget (capped so the
@@ -748,15 +766,12 @@ void GridRun::update() {
   std::fill(work_.begin(), work_.end(), NodeWork{});
   const obs::Span update_span("grid.update");
   for_node_chunks(pool_.get(), n_, [&](std::size_t begin, std::size_t end) {
-    // Recompute mode's message buffer; a prefix holds node i's ROI.
-    std::vector<double> scratch(shape_.cell_count());
-    for (std::size_t i = begin; i < end; ++i)
-      update_node(i, scratch, work_[i]);
+    MessageBuffers bufs(shape_.cell_count());
+    for (std::size_t i = begin; i < end; ++i) update_node(i, bufs, work_[i]);
   });
 }
 
-void GridRun::update_node(std::size_t i, std::vector<double>& scratch,
-                          NodeWork& w) {
+void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
   if (roles_.acts_anchor(i)) return;
   if (transport_.crashed(i)) return;  // dead nodes stop computing too
 
@@ -809,32 +824,47 @@ void GridRun::update_node(std::size_t i, std::vector<double>& scratch,
     copy_belief((*product_)[i], (*staged_)[i]);
   } else {
     copy_belief((*prior_)[i], (*staged_)[i]);
-    const BoxView fresh = BoxView::packed(scratch, shape_.side, roi_[i]);
+    // The product's last mass total, divided out by the next step (or the
+    // finish) in the same pass as its multiply.
+    double pending = 0.0;
     for_slots(i, [&](std::size_t s) {
-      const BoxView buf = reuse_ ? msg_store_->view(s) : fresh;
+      const bool link = s < n_links_;
+      const BoxView buf = BoxView::packed(link ? bufs.link : bufs.nonlink,
+                                          shape_.side, roi_[i]);
+      const auto replay = [&](const SlotMessage& m) {
+        beliefops::copy_in(ConstBoxView::packed(m.cells, shape_.side, m.box),
+                           buf.sub(m.box));
+        return m.box;
+      };
+      std::optional<CellBox> support;
       if (sched_active_ && sched_->deferred(s)) {
         // Deferred slot: replay the message of the last-integrated version
         // (bit-identical to the round it was computed in) and skip the
-        // kernel work the new summary would cost. The cached buffer is that
+        // kernel work the new summary would cost. The cached entry is that
         // message exactly when its version matches the held signature;
         // otherwise the last integration contributed nothing (never heard,
         // or retired) and neither does the replay.
-        if (msg_ver_[s] == 0 || msg_ver_[s] != in_sig_[s] || msg_skip_[s])
-          return;
+        const SlotMessage& m = msg_[s];
+        if (m.ver == 0 || m.ver != in_sig_[s] || m.skip) return;
         ++w.msgs_reused;
+        support = replay(m);
       } else {
         const SlotInput in = input(s);
         if (in.payload == nullptr) return;
-        if (reuse_ && msg_ver_[s] == in.ver) {
+        if (reuse_ && msg_[s].ver == in.ver) {
           ++w.msgs_reused;
-          if (msg_skip_[s]) return;
-        } else if (!compute_message(s, in, buf, w)) {
-          return;
+          if (msg_[s].skip) return;
+          support = replay(msg_[s]);
+        } else {
+          support = compute_message(s, in, buf, w);
+          if (!support) return;
         }
       }
       w.cell_visits += box_cells;
-      beliefops::multiply_in(next, buf, kMessageFloor);
+      pending = beliefops::product_step(next, buf, kMessageFloor, pending);
+      beliefops::fill_in(buf.sub(*support), link ? 0.0 : 1.0);
     });
+    beliefops::product_finish(next, pending);
     if (config_.reuse_messages) {
       // pre-damping: replayable as-is
       copy_belief((*staged_)[i], (*product_)[i]);
@@ -847,40 +877,54 @@ void GridRun::update_node(std::size_t i, std::vector<double>& scratch,
   w.cell_visits += 3 * box_cells;  // prior copy or replay + mix + residual
 }
 
-// Compute slot s's message from its input into `buf`, recording it in the
-// cache when the cache is on. False when the message has no support: a
-// link whose kernel correlation put no mass in range (its skip bit is
-// cached with it). A non-link message always has support.
-bool GridRun::compute_message(std::size_t s, const SlotInput& in,
-                              BoxView buf, NodeWork& w) {
+// Build slot s's message from its input into `buf`, its slot kind's
+// buffer over the receiver's ROI, recording it in the cache when the cache
+// is on. Returns the support box it wrote, or nothing when the message has
+// no support — a link whose kernel correlation put no mass in range (its
+// skip bit is cached with it; `buf` is already restored). A non-link
+// message always has support.
+std::optional<CellBox> GridRun::compute_message(std::size_t s,
+                                                const SlotInput& in,
+                                                BoxView buf, NodeWork& w) {
   const bool link = s < n_links_;
   const RangeKernel& kernel = link ? *link_kernel_[s] : conn_kernel_;
   ++w.msgs_computed;
   w.kernel_cells += static_cast<std::uint64_t>(in.payload->cells.size()) *
                     kernel.stamp_count();
+  // The replay writes only inside this box; outside it `buf` already holds
+  // the message.
+  const CellBox box = kernel.touched_box(*in.payload, buf.box, shape_.side);
+  const BoxView cells = buf.sub(box);
   bool support = true;
   if (link) {
-    support = kernel.correlate(*in.payload, buf) > 0.0;
+    support = kernel.correlate_zeroed(*in.payload, buf, box) > 0.0;
   } else {
     // m(x) = 1 - P(link | x), capped at 1 (kernel overlap can exceed it
-    // slightly on coarse grids). Only the receiver's ROI cells are stored
-    // and read, so only they are cleared and transformed; element-wise, so
-    // the full box is bit-identical to the historical whole-buffer loop.
-    const std::size_t width = buf.box.width();
-    for (std::int32_t y = buf.box.y0; y <= buf.box.y1; ++y)
-      std::fill_n(buf.row(y), width, 0.0);
+    // slightly on coarse grids). Element-wise, so only the touched box is
+    // cleared and transformed: outside it P(link | x) = 0 and m = 1.
+    beliefops::fill_in(cells, 0.0);
     kernel.accumulate(*in.payload, buf);
-    for (std::int32_t y = buf.box.y0; y <= buf.box.y1; ++y) {
-      double* const row = buf.row(y);
-      for (std::size_t t = 0; t < width; ++t)
+    for (std::int32_t y = box.y0; y <= box.y1; ++y) {
+      double* const row = cells.row(y);
+      for (std::size_t t = 0; t < box.width(); ++t)
         row[t] = std::max(0.0, 1.0 - std::min(row[t], 1.0));
     }
   }
   if (reuse_) {
-    msg_ver_[s] = in.ver;
-    msg_skip_[s] = support ? 0 : 1;
+    SlotMessage& m = msg_[s];
+    m.ver = in.ver;
+    m.skip = !support;
+    m.box = support ? box : CellBox{};
+    m.cells.reserve(m.box.cell_count());  // exact growth, never shrinks
+    m.cells.resize(m.box.cell_count());
+    beliefops::copy_in(buf.sub(m.box),
+                       BoxView::packed(m.cells, shape_.side, m.box));
   }
-  return support;
+  if (!support) {
+    beliefops::fill_in(cells, 0.0);
+    return std::nullopt;
+  }
+  return box;
 }
 
 void GridRun::commit() {
@@ -953,6 +997,15 @@ bool GridRun::close_round(LocalizationResult& result,
   return converged;
 }
 
+void GridRun::count_state_bytes() {
+  std::size_t cache_cells = 0;
+  for (const SlotMessage& m : msg_) cache_cells += m.cells.capacity();
+  obs::count("grid.state_bytes",
+             prior_->bytes() + belief_->bytes() + staged_->bytes() +
+                 last_pub_->bytes() + (product_ ? product_->bytes() : 0) +
+                 cache_cells * sizeof(double));
+}
+
 void GridRun::emit_estimates(LocalizationResult& result) {
   for (std::size_t i = 0; i < n_; ++i) {
     if (scenario_.is_anchor[i]) continue;
@@ -996,6 +1049,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       run.commit();
       if (run.close_round(result, round)) break;
     }
+    run.count_state_bytes();
   }
   rounds_timer.stop();
   run.finish(result);

@@ -125,16 +125,20 @@ struct GridBnclConfig {
   /// Reuse a link's incoming message verbatim while the sender's published
   /// summary is unchanged (rebroadcast suppression already tracks this) —
   /// the message is a pure function of (kernel, summary), so recomputing it
-  /// every round is wasted work. Costs one buffer per directed link (and
-  /// non-link), packed to the receiver's region of interest.
+  /// every round is wasted work. Costs one cache entry per directed link
+  /// (and non-link): the message's support box — its summary's cells
+  /// dilated by the kernel footprint, clipped to the receiver's region of
+  /// interest — and the cells inside it. Outside that box a link message is
+  /// exactly 0 and a non-link message exactly 1, so nothing more is kept.
   bool reuse_messages = true;
-  /// Upper bound on the message-reuse buffers, per level. The budget counts
-  /// ROI-packed bytes — each slot holds the receiver's ROI cells, and
-  /// receivers that act as anchors hold none — so a pyramid level costs
-  /// its summed ROI cells, not links × side². A level whose packed
-  /// footprint exceeds the budget degrades to recompute (correct, just
-  /// slower; the residual scheduler degrades with it) and is counted in
-  /// the `grid.message_cache.degraded` obs counter.
+  /// Upper bound on the message cache, per level. The budget checks the
+  /// worst case, every slot's message filling its receiver's ROI (receivers
+  /// that act as anchors hold none), so a pyramid level costs its summed
+  /// ROI cells, not links × side², and the decision does not depend on the
+  /// messages; the cache itself holds only support boxes, typically far
+  /// less. A level whose worst case exceeds the budget degrades to
+  /// recompute (correct, just slower; the residual scheduler degrades with
+  /// it) and is counted in the `grid.message_cache.degraded` obs counter.
   std::size_t message_cache_mb = 256;
 
   /// Worker threads for the node-parallel phases within a round (the

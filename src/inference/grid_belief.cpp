@@ -138,36 +138,55 @@ double total_variation(std::span<const double> a, std::span<const double> b) {
   return 0.5 * simd::l1_diff(a.data(), b.data(), a.size());
 }
 
+void fill_in(BoxView mass, double value) noexcept {
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+    std::fill_n(mass.row(y), mass.box.width(), value);
+}
+
 namespace {
 
 /// Uniform over the box cells only (outside a dense buffer left untouched —
 /// callers keep it zero).
 void set_uniform_in(BoxView mass) noexcept {
-  const double v = 1.0 / static_cast<double>(mass.box.cell_count());
-  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
-    std::fill_n(mass.row(y), mass.box.width(), v);
+  fill_in(mass, 1.0 / static_cast<double>(mass.box.cell_count()));
 }
 
 }  // namespace
 
 void multiply_in(BoxView mass, ConstBoxView factor, double floor) {
+  product_finish(mass, product_step(mass, factor, floor, 0.0));
+}
+
+double product_step(BoxView mass, ConstBoxView factor, double floor,
+                    double pending) {
   BNLOC_ASSERT(factor.box == mass.box && factor.side == mass.side,
                "factor grid shape mismatch");
-  if (mass.full()) {
-    multiply(mass.whole(), factor.whole(), floor);
-    return;
-  }
-  BNLOC_ASSERT(!mass.box.empty(), "multiply_in needs a non-empty box");
-  const std::size_t w = mass.box.width();
+  BNLOC_ASSERT(!mass.box.empty(), "product_step needs a non-empty box");
+  const auto step = [&](double* dst, const double* f, std::size_t n) {
+    return pending == 0.0
+               ? simd::mul_add_floor_sum(dst, f, floor, n)
+               : simd::div_mul_add_floor_sum(dst, pending, f, floor, n);
+  };
   double total = 0.0;
-  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
-    total += simd::mul_add_floor_sum(mass.row(y), factor.row(y), floor, w);
+  if (mass.full()) {
+    total = step(mass.rows, factor.rows, mass.side * mass.side);
+  } else {
+    const std::size_t w = mass.box.width();
+    for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
+      total += step(mass.row(y), factor.row(y), w);
+  }
   if (total <= 0.0) {
     set_uniform_in(mass);
-    return;
+    return 0.0;
   }
+  return total;
+}
+
+void product_finish(BoxView mass, double pending) noexcept {
+  if (pending == 0.0) return;
+  // Element-wise, so row by row gives the whole-buffer bits on a full box.
   for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y)
-    simd::div_all(mass.row(y), total, w);
+    simd::div_all(mass.row(y), pending, mass.box.width());
 }
 
 void normalize_in(BoxView mass) noexcept {

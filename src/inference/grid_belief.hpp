@@ -159,6 +159,11 @@ struct BasicBoxView {
   [[nodiscard]] T* row(std::int32_t y) const noexcept {
     return rows + static_cast<std::size_t>(y - box.y0) * stride;
   }
+  /// The cells of `cells`, a box inside this view's box, in this layout.
+  [[nodiscard]] BasicBoxView sub(const CellBox& cells) const noexcept {
+    if (cells.empty()) return {nullptr, stride, cells, side};
+    return {row(cells.y0) + (cells.x0 - box.x0), stride, cells, side};
+  }
   [[nodiscard]] bool full() const noexcept { return box.is_full(side); }
   /// The side² buffer behind a full box (meaningless otherwise).
   [[nodiscard]] std::span<T> whole() const noexcept {
@@ -240,8 +245,25 @@ double peak(std::span<const double> mass) noexcept;
 // both views over the same box (either layout each).
 
 /// Pointwise multiply inside the box (factor + floor), renormalizing over
-/// the box. Falls back to uniform-in-box if the box mass vanishes.
+/// the box. Falls back to uniform-in-box if the box mass vanishes. One
+/// product_step closed by product_finish.
 void multiply_in(BoxView mass, ConstBoxView factor, double floor);
+
+/// One factor of a belief product with its renormalization deferred:
+/// divides out `pending` (the total the previous step returned; 0 = none)
+/// while multiplying by factor + floor inside the box, and returns the
+/// box's new total, still to be divided out by the next step or by
+/// product_finish. When the box mass vanishes it resets to uniform-in-box
+/// and returns 0. Keeps multiply_in's full-box/per-row split, so a chain of
+/// steps closed by product_finish equals the same chain of multiply_in
+/// calls bit for bit, at one pass over the box per factor instead of two.
+[[nodiscard]] double product_step(BoxView mass, ConstBoxView factor,
+                                  double floor, double pending);
+/// Divide out the last product step's pending total (0: nothing to do).
+void product_finish(BoxView mass, double pending) noexcept;
+
+/// Set every box cell to `value` (outside a dense buffer untouched).
+void fill_in(BoxView mass, double value) noexcept;
 
 /// Renormalize over the box (uniform-in-box fallback).
 void normalize_in(BoxView mass) noexcept;

@@ -196,20 +196,30 @@ double RangeKernel::correlate(const SparseBelief& src, std::span<double> out,
 }
 
 double RangeKernel::correlate(const SparseBelief& src, BoxView out) const {
-  const std::size_t side = out.side;
-  const CellBox& clip = out.box;
-  if (out.full()) {
-    std::fill(out.whole().begin(), out.whole().end(), 0.0);
-  } else {
-    for (std::int32_t y = clip.y0; y <= clip.y1; ++y)
-      std::fill_n(out.row(y), clip.width(), 0.0);
-  }
+  beliefops::fill_in(out, 0.0);
+  return correlate_zeroed(src, out, touched_box(src, out.box, out.side));
+}
+
+double RangeKernel::correlate_zeroed(const SparseBelief& src, BoxView out,
+                                     const CellBox& touched) const {
   accumulate(src, out);
-  if (src.cells.empty() || weights_.empty()) return 0.0;
-  // Bounding box of every touched cell: the summary's cell extent dilated
-  // by the kernel footprint, clipped to the view's box (the grid, or the
-  // ROI). Normalization only needs to look here — everything outside is an
-  // exact zero (or, under a partial box, never stored).
+  // Normalization only needs to look at the touched box — everything
+  // outside is an exact zero (or, under a partial box, never stored).
+  if (touched.empty()) return 0.0;
+  const BoxView cells = out.sub(touched);
+  const std::size_t row_len = touched.width();
+  double peak = 0.0;
+  for (std::int32_t y = touched.y0; y <= touched.y1; ++y)
+    peak = std::max(peak, beliefops::peak({cells.row(y), row_len}));
+  if (peak <= 0.0) return 0.0;
+  for (std::int32_t y = touched.y0; y <= touched.y1; ++y)
+    simd::div_all(cells.row(y), peak, row_len);
+  return peak;
+}
+
+CellBox RangeKernel::touched_box(const SparseBelief& src, const CellBox& clip,
+                                 std::size_t side) const noexcept {
+  if (src.cells.empty() || weights_.empty()) return {};
   const auto s = static_cast<std::int32_t>(side);
   std::int32_t cx_lo = s, cx_hi = -1, cy_lo = s, cy_hi = -1;
   for (const std::uint32_t cell : src.cells) {
@@ -220,20 +230,12 @@ double RangeKernel::correlate(const SparseBelief& src, BoxView out) const {
     cy_lo = std::min(cy_lo, cy);
     cy_hi = std::max(cy_hi, cy);
   }
-  const std::int32_t x0 = std::max(cx_lo + min_dx_, clip.x0);
-  const std::int32_t x1 = std::min(cx_hi + max_dx_, clip.x1);
-  const std::int32_t y0 = std::max(cy_lo + min_dy_, clip.y0);
-  const std::int32_t y1 = std::min(cy_hi + max_dy_, clip.y1);
-  if (x0 > x1 || y0 > y1) return 0.0;
-  const auto row_len = static_cast<std::size_t>(x1 - x0 + 1);
-  double peak = 0.0;
-  for (std::int32_t y = y0; y <= y1; ++y)
-    peak = std::max(peak, beliefops::peak({out.row(y) + (x0 - clip.x0),
-                                           row_len}));
-  if (peak <= 0.0) return 0.0;
-  for (std::int32_t y = y0; y <= y1; ++y)
-    simd::div_all(out.row(y) + (x0 - clip.x0), peak, row_len);
-  return peak;
+  const CellBox touched{std::max(cx_lo + min_dx_, clip.x0),
+                        std::min(cx_hi + max_dx_, clip.x1),
+                        std::max(cy_lo + min_dy_, clip.y0),
+                        std::min(cy_hi + max_dy_, clip.y1)};
+  // One empty box, so row loops over it never run.
+  return touched.empty() ? CellBox{} : touched;
 }
 
 }  // namespace bnloc

@@ -69,15 +69,30 @@ class RangeKernel {
   /// The full BP message for a summary: clear `out`, correlate, normalize
   /// to peak 1. Returns the peak before normalization (0 = the summary put
   /// no mass in range — message carries no information). The peak scan and
-  /// the division cover only the touched bounding box (summary extent
-  /// dilated by the kernel footprint); untouched cells hold exact zeros, so
-  /// the result is bit-identical to whole-grid normalization.
+  /// the division cover only the touched box (see touched_box); untouched
+  /// cells hold exact zeros, so the result is bit-identical to whole-grid
+  /// normalization.
   double correlate(const SparseBelief& src, std::span<double> out,
                    std::size_t side) const;
   /// The same over a view: with a partial box the whole computation —
   /// clear, replay, peak, normalize — is restricted to the box, and the
   /// returned peak is the in-box peak.
   double correlate(const SparseBelief& src, BoxView out) const;
+  /// correlate() into a view that is already zero over `touched`, which
+  /// must be touched_box(src, out.box, out.side): the same replay, peak and
+  /// normalization, writing nothing outside `touched`. correlate() is a
+  /// clear of the view followed by this.
+  double correlate_zeroed(const SparseBelief& src, BoxView out,
+                          const CellBox& touched) const;
+
+  /// The cells a replay of `src` can write inside `clip` on a `side`-wide
+  /// grid: the summary's cell extent dilated by the kernel footprint,
+  /// clipped to `clip`. The empty CellBox{} when the summary or the kernel
+  /// is empty or the box misses `clip`. Outside it a correlation is exactly
+  /// zero.
+  [[nodiscard]] CellBox touched_box(const SparseBelief& src,
+                                    const CellBox& clip,
+                                    std::size_t side) const noexcept;
 
   [[nodiscard]] std::size_t stamp_count() const noexcept {
     return weights_.size();

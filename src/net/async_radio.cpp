@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
@@ -18,6 +19,15 @@ std::uint64_t pair_key(std::size_t from, std::size_t to, std::size_t n) {
          static_cast<std::uint64_t>(to);
 }
 
+/// Worst-case in-flight lifetime of one packet, in rounds: transmit phase
+/// (< 1) + full backoff ladder at the jittered cap + max latency draw +
+/// duty-cycle deferral (< 1), with one round of slack.
+double packet_lifetime(const AsyncRadioConfig& c) noexcept {
+  const double ladder =
+      static_cast<double>(c.max_retries) * c.backoff_cap * 1.25;
+  return 1.0 + ladder + c.latency * (1.0 + c.latency_jitter) + 1.0;
+}
+
 }  // namespace
 
 std::string AsyncRadioConfig::validate() const {
@@ -25,18 +35,25 @@ std::string AsyncRadioConfig::validate() const {
   // A negative ACK loss means "same as loss", which is checked above.
   if (!(ack_loss < 1.0))
     return "ack_loss must be < 1 (negative means same as loss)";
-  if (!(latency >= 0.0)) return "latency must be >= 0";
-  if (!(latency_jitter >= 0.0)) return "latency_jitter must be >= 0";
+  if (!(latency >= 0.0 && std::isfinite(latency)))
+    return "latency must be finite and >= 0";
+  if (!(latency_jitter >= 0.0 && std::isfinite(latency_jitter)))
+    return "latency_jitter must be finite and >= 0";
   if (!(duty_cycle > 0.0 && duty_cycle <= 1.0))
     return "duty_cycle must be in (0, 1]";
   if (!(clock_skew >= 0.0 && clock_skew < 1.0))
     return "clock_skew must be in [0, 1)";
   if (!(backoff_base > 0.0)) return "backoff_base must be > 0";
   if (!(backoff_factor >= 1.0)) return "backoff_factor must be >= 1";
-  if (!(backoff_cap >= backoff_base))
-    return "backoff_cap must be >= backoff_base";
+  if (!(backoff_cap >= backoff_base && std::isfinite(backoff_cap)))
+    return "backoff_cap must be finite and >= backoff_base";
   if (flap_rate > 0.0 && !(flap_downtime > 0.0))
     return "flap_downtime must be > 0 when flap_rate > 0";
+  // The constructor casts the ceiling of the lifetime to a round count.
+  if (!(packet_lifetime(*this) <
+        std::ldexp(1.0, std::numeric_limits<std::size_t>::digits)))
+    return "latency * (1 + latency_jitter) + max_retries * backoff_cap must "
+           "keep a packet's lifetime below 2^64 rounds";
   return {};
 }
 
@@ -117,14 +134,10 @@ AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
     }
   }
 
-  // Worst-case in-flight lifetime of one packet, in rounds: transmit phase
-  // (< 1) + full backoff ladder at the jittered cap + max latency draw +
-  // duty-cycle deferral (< 1), rounded up with one round of slack.
-  const double ladder = static_cast<double>(cfg_.max_retries) *
-                        cfg_.backoff_cap * 1.25;
-  const double lifetime = 1.0 + ladder +
-                          cfg_.latency * (1.0 + cfg_.latency_jitter) + 1.0;
-  horizon_rounds_ = static_cast<std::size_t>(std::ceil(lifetime)) + 1;
+  // The packet lifetime, rounded up with one more round of slack;
+  // validate() keeps the cast in range.
+  horizon_rounds_ =
+      static_cast<std::size_t>(std::ceil(packet_lifetime(cfg_))) + 1;
 }
 
 void AsyncRadio::push(Event e) {

@@ -38,6 +38,17 @@ double scalar_mul_add_floor_sum(double* dst, const double* factor,
   return total;
 }
 
+double scalar_div_mul_add_floor_sum(double* dst, double pending,
+                                    const double* factor, double floor,
+                                    std::size_t n) noexcept {
+  double total = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    dst[c] = dst[c] / pending * (factor[c] + floor);
+    total += dst[c];
+  }
+  return total;
+}
+
 double scalar_sum(const double* p, std::size_t n) noexcept {
   double total = 0.0;
   for (std::size_t c = 0; c < n; ++c) total += p[c];
@@ -95,6 +106,29 @@ double sse2_mul_add_floor_sum(double* dst, const double* factor, double floor,
                  _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
   for (; c < n; ++c) {
     dst[c] *= factor[c] + floor;
+    total += dst[c];
+  }
+  return total;
+}
+
+double sse2_div_mul_add_floor_sum(double* dst, double pending,
+                                  const double* factor, double floor,
+                                  std::size_t n) noexcept {
+  const __m128d vpending = _mm_set1_pd(pending);
+  const __m128d vfloor = _mm_set1_pd(floor);
+  __m128d acc = _mm_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    const __m128d f = _mm_add_pd(_mm_loadu_pd(factor + c), vfloor);
+    const __m128d d =
+        _mm_mul_pd(_mm_div_pd(_mm_loadu_pd(dst + c), vpending), f);
+    _mm_storeu_pd(dst + c, d);
+    acc = _mm_add_pd(acc, d);
+  }
+  double total = _mm_cvtsd_f64(acc) +
+                 _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
+  for (; c < n; ++c) {
+    dst[c] = dst[c] / pending * (factor[c] + floor);
     total += dst[c];
   }
   return total;
@@ -205,6 +239,29 @@ double avx2_mul_add_floor_sum(double* dst, const double* factor, double floor,
 }
 
 BNLOC_TARGET_AVX2
+double avx2_div_mul_add_floor_sum(double* dst, double pending,
+                                  const double* factor, double floor,
+                                  std::size_t n) noexcept {
+  const __m256d vpending = _mm256_set1_pd(pending);
+  const __m256d vfloor = _mm256_set1_pd(floor);
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const __m256d f = _mm256_add_pd(_mm256_loadu_pd(factor + c), vfloor);
+    const __m256d d =
+        _mm256_mul_pd(_mm256_div_pd(_mm256_loadu_pd(dst + c), vpending), f);
+    _mm256_storeu_pd(dst + c, d);
+    acc = _mm256_add_pd(acc, d);
+  }
+  double total = hsum4(acc);
+  for (; c < n; ++c) {
+    dst[c] = dst[c] / pending * (factor[c] + floor);
+    total += dst[c];
+  }
+  return total;
+}
+
+BNLOC_TARGET_AVX2
 double avx2_sum(const double* p, std::size_t n) noexcept {
   __m256d acc = _mm256_setzero_pd();
   std::size_t c = 0;
@@ -307,6 +364,28 @@ double neon_mul_add_floor_sum(double* dst, const double* factor, double floor,
   return total;
 }
 
+double neon_div_mul_add_floor_sum(double* dst, double pending,
+                                  const double* factor, double floor,
+                                  std::size_t n) noexcept {
+  const float64x2_t vpending = vdupq_n_f64(pending);
+  const float64x2_t vfloor = vdupq_n_f64(floor);
+  float64x2_t acc = vdupq_n_f64(0.0);
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    const float64x2_t f = vaddq_f64(vld1q_f64(factor + c), vfloor);
+    const float64x2_t d =
+        vmulq_f64(vdivq_f64(vld1q_f64(dst + c), vpending), f);
+    vst1q_f64(dst + c, d);
+    acc = vaddq_f64(acc, d);
+  }
+  double total = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
+  for (; c < n; ++c) {
+    dst[c] = dst[c] / pending * (factor[c] + floor);
+    total += dst[c];
+  }
+  return total;
+}
+
 double neon_sum(const double* p, std::size_t n) noexcept {
   float64x2_t acc = vdupq_n_f64(0.0);
   std::size_t c = 0;
@@ -382,6 +461,8 @@ struct Ops {
   const char* name;
   double (*mul_add_floor_sum)(double*, const double*, double,
                               std::size_t) noexcept;
+  double (*div_mul_add_floor_sum)(double*, double, const double*, double,
+                                  std::size_t) noexcept;
   double (*sum)(const double*, std::size_t) noexcept;
   void (*div_all)(double*, double, std::size_t) noexcept;
   double (*max0)(const double*, std::size_t) noexcept;
@@ -393,6 +474,7 @@ struct Ops {
 constexpr Ops kScalarOps{Mode::scalar,
                          "scalar",
                          scalar_mul_add_floor_sum,
+                         scalar_div_mul_add_floor_sum,
                          scalar_sum,
                          scalar_div_all,
                          scalar_max0,
@@ -404,6 +486,7 @@ constexpr Ops kScalarOps{Mode::scalar,
 constexpr Ops kSse2Ops{Mode::sse2,
                        "sse2",
                        sse2_mul_add_floor_sum,
+                       sse2_div_mul_add_floor_sum,
                        sse2_sum,
                        sse2_div_all,
                        sse2_max0,
@@ -415,6 +498,7 @@ constexpr Ops kSse2Ops{Mode::sse2,
 constexpr Ops kAvx2Ops{Mode::avx2,
                        "avx2",
                        avx2_mul_add_floor_sum,
+                       avx2_div_mul_add_floor_sum,
                        avx2_sum,
                        avx2_div_all,
                        avx2_max0,
@@ -426,6 +510,7 @@ constexpr Ops kAvx2Ops{Mode::avx2,
 constexpr Ops kNeonOps{Mode::neon,
                        "neon",
                        neon_mul_add_floor_sum,
+                       neon_div_mul_add_floor_sum,
                        neon_sum,
                        neon_div_all,
                        neon_max0,
@@ -513,6 +598,11 @@ const char* active_name() noexcept { return active().name; }
 double mul_add_floor_sum(double* dst, const double* factor, double floor,
                          std::size_t n) noexcept {
   return active().mul_add_floor_sum(dst, factor, floor, n);
+}
+
+double div_mul_add_floor_sum(double* dst, double pending, const double* factor,
+                             double floor, std::size_t n) noexcept {
+  return active().div_mul_add_floor_sum(dst, pending, factor, floor, n);
 }
 
 double sum(const double* p, std::size_t n) noexcept {

@@ -54,6 +54,14 @@ void set_mode(Mode mode) noexcept;
 double mul_add_floor_sum(double* dst, const double* factor, double floor,
                          std::size_t n) noexcept;
 
+/// dst[i] = (dst[i] / pending) * (factor[i] + floor); returns the sum of the
+/// updated entries in exactly the lanes and order of mul_add_floor_sum.
+/// (The previous product step's renormalization folded into the next
+/// multiply: bit-identical to div_all(dst, pending) followed by
+/// mul_add_floor_sum, in one pass.)
+double div_mul_add_floor_sum(double* dst, double pending, const double* factor,
+                             double floor, std::size_t n) noexcept;
+
 /// Sum of the buffer (normalization numerator).
 [[nodiscard]] double sum(const double* p, std::size_t n) noexcept;
 

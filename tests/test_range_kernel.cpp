@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace bnloc {
@@ -118,6 +121,89 @@ TEST(RangeKernel, EdgeClippingDropsOutOfGridStamps) {
   // No out-of-bounds write happened (ASAN-level check is implicit) and the
   // in-grid quarter annulus is present.
   EXPECT_GT(*std::max_element(out.begin(), out.end()), 0.0);
+}
+
+// The grid engine keeps its message buffers at zero and clears nothing
+// before a correlation: correlate_zeroed on a buffer zeroed only over
+// touched_box must give correlate()'s peak and cells bit for bit, and write
+// nothing outside that box — where correlate() leaves exact zeros. Covers
+// the whole grid, an ROI box in both storage layouts, and summaries whose
+// footprint is clipped by the grid border or straddles the ROI edge.
+TEST(RangeKernel, CorrelateZeroedMatchesCorrelateInsideTouchedBox) {
+  constexpr std::size_t side = 29;
+  const GridShape shape{Aabb::unit(), side};
+  const RangeKernel k =
+      RangeKernel::make_range(0.18, gaussian_spec(0.1, 0.3), shape);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto summary = [](std::initializer_list<std::uint32_t> cells) {
+    SparseBelief s;
+    for (const std::uint32_t c : cells) {
+      s.cells.push_back(c);
+      s.mass.push_back(1.0F / static_cast<float>(cells.size()));
+    }
+    return s;
+  };
+  const SparseBelief summaries[] = {
+      summary({14 * side + 14, 14 * side + 15, 15 * side + 14}),  // interior
+      summary({0, 1, side, 27 * side + 28}),  // clipped at the grid border
+      summary({4 * side + 4, 6 * side + 21}),  // straddles the ROI edge
+  };
+  const CellBox roi{5, 20, 7, 22};
+  constexpr double kSentinel = -3.0;
+
+  for (const SparseBelief& src : summaries) {
+    for (const bool packed : {false, true}) {
+      for (const CellBox& box : {CellBox::full(side), roi}) {
+        if (packed && box.is_full(side)) continue;  // the same layout
+        const std::size_t size = packed ? box.cell_count() : side * side;
+        const auto view = [&](std::vector<double>& buf) {
+          return packed ? BoxView::packed(buf, side, box)
+                        : BoxView::dense(buf, side, box);
+        };
+        std::vector<double> want(size, 7.0), got(size, kSentinel);
+        const double want_peak = k.correlate(src, view(want));
+        const CellBox touched = k.touched_box(src, box, side);
+        ASSERT_FALSE(touched.empty());
+        beliefops::fill_in(view(got).sub(touched), 0.0);
+        EXPECT_EQ(bits(k.correlate_zeroed(src, view(got), touched)),
+                  bits(want_peak));
+
+        for (std::int32_t y = 0; y < static_cast<std::int32_t>(side); ++y)
+          for (std::int32_t x = 0; x < static_cast<std::int32_t>(side); ++x) {
+            const bool in_view =
+                x >= box.x0 && x <= box.x1 && y >= box.y0 && y <= box.y1;
+            if (!in_view) {
+              if (!packed) {
+                ASSERT_EQ(got[static_cast<std::size_t>(y) * side +
+                              static_cast<std::size_t>(x)],
+                          kSentinel);
+              }
+              continue;
+            }
+            const double g = view(got).row(y)[x - box.x0];
+            const double w = view(want).row(y)[x - box.x0];
+            if (x >= touched.x0 && x <= touched.x1 && y >= touched.y0 &&
+                y <= touched.y1) {
+              ASSERT_EQ(bits(g), bits(w)) << "x=" << x << " y=" << y;
+            } else {
+              ASSERT_EQ(g, kSentinel) << "wrote outside the touched box";
+              ASSERT_EQ(w, 0.0) << "correlation nonzero outside the box";
+            }
+          }
+      }
+    }
+  }
+
+  // A summary whose reach misses the ROI in x but not in y: the one empty
+  // box, so the engine's loops over its rows never run, and no support.
+  const CellBox narrow{3, 8, 7, 22};
+  const SparseBelief far = summary({14 * side + 28});
+  EXPECT_EQ(k.touched_box(far, narrow, side), CellBox{});
+  std::vector<double> untouched(narrow.cell_count(), kSentinel);
+  EXPECT_EQ(k.correlate_zeroed(far, BoxView::packed(untouched, side, narrow),
+                               CellBox{}),
+            0.0);
+  for (const double v : untouched) ASSERT_EQ(v, kSentinel);
 }
 
 TEST(ConnectivityKernel, DiskOfLinkProbability) {

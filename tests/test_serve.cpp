@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -412,6 +413,10 @@ TEST(BatchService, EngineInvariantViolationsFailTheRequestNotTheProcess) {
       {R"("engine_config": {"async": true, "loss": 1.0})", nullptr, "loss"},
       {R"("engine_config": {"async": true, "latency": -1})", nullptr,
        "latency"},
+      {R"("engine_config": {"async": true, "latency": 1e999})", nullptr,
+       "radio.latency"},
+      {R"("engine_config": {"async": true, "latency": 1e300})", nullptr,
+       "radio.latency"},
       {R"("engine_config": {"async": true})",
        [](ServeRequest& r) { r.grid.transport.radio.latency_jitter = -1.0; },
        "radio.latency_jitter"},
@@ -432,6 +437,12 @@ TEST(BatchService, EngineInvariantViolationsFailTheRequestNotTheProcess) {
        "radio.backoff_factor"},
       {R"("engine_config": {"async": true})",
        [](ServeRequest& r) { r.grid.transport.radio.backoff_cap = 0.1; },
+       "radio.backoff_cap"},
+      {R"("engine_config": {"async": true})",
+       [](ServeRequest& r) {
+         r.grid.transport.radio.backoff_cap =
+             std::numeric_limits<double>::infinity();
+       },
        "radio.backoff_cap"},
       {R"("engine_config": {"async": true})",
        [](ServeRequest& r) {

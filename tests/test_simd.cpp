@@ -146,6 +146,118 @@ TEST_F(SimdModes, ReductionsAgreeWithinTolerance) {
   }
 }
 
+// The fused primitive folds one product step's renormalization into the
+// next multiply, so it must reproduce div_all followed by mul_add_floor_sum
+// bit for bit in every mode: the same per-element operations, and a sum
+// over the same lanes in the same order.
+TEST_F(SimdModes, DivMulAddFloorSumMatchesDivThenMultiplyBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t n : {0UL, 1UL, 2UL, 3UL, 4UL, 5UL, 6UL, 7UL, 8UL,
+                              9UL, 13UL, 48UL * 48UL}) {
+    const std::vector<double> base = random_buffer(n, 1000 + n);
+    const std::vector<double> factor = random_buffer(n, 1100 + n);
+    for (const simd::Mode m : available_modes()) {
+      simd::set_mode(m);
+      std::vector<double> two_pass = base, fused = base;
+      simd::div_all(two_pass.data(), 0.37, n);
+      const double want =
+          simd::mul_add_floor_sum(two_pass.data(), factor.data(), 1e-4, n);
+      const double got = simd::div_mul_add_floor_sum(
+          fused.data(), 0.37, factor.data(), 1e-4, n);
+      EXPECT_EQ(bits(got), bits(want))
+          << "sum n=" << n << " mode=" << static_cast<int>(m);
+      for (std::size_t c = 0; c < n; ++c)
+        ASSERT_EQ(bits(fused[c]), bits(two_pass[c]))
+            << "n=" << n << " c=" << c << " mode=" << static_cast<int>(m);
+    }
+  }
+}
+
+// The grid engine multiplies a node's messages in as a chain of product
+// steps closed by one finish. That chain must equal the same chain of
+// multiply_in calls bit for bit: over a full box (whole-buffer sums) and a
+// partial box in both layouts (per-row sums), and across a mid-chain
+// all-zero factor with floor 0, where the box mass vanishes and both fall
+// back to uniform-in-box.
+TEST_F(SimdModes, ProductStepsMatchMultiplyInChainBitForBit) {
+  constexpr std::size_t side = 23;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  struct Factor {
+    std::vector<double> cells;
+    double floor;
+  };
+  for (const bool zero_mid_chain : {false, true}) {
+    for (const CellBox& box :
+         {CellBox::full(side), CellBox{3, 11, 4, 16}, CellBox{5, 5, 2, 9}}) {
+      // Dense buffers zero outside the box (the caller invariant).
+      const auto in_box = [&](std::uint64_t seed) {
+        const std::vector<double> noise = random_buffer(side * side, seed);
+        std::vector<double> dense(side * side, 0.0);
+        for (std::int32_t y = box.y0; y <= box.y1; ++y)
+          for (std::int32_t x = box.x0; x <= box.x1; ++x) {
+            const std::size_t c = static_cast<std::size_t>(y) * side +
+                                  static_cast<std::size_t>(x);
+            dense[c] = noise[c];
+          }
+        return dense;
+      };
+      const auto pack = [&](const std::vector<double>& dense) {
+        std::vector<double> slice(box.cell_count());
+        beliefops::copy_in(ConstBoxView::dense(dense, side, box),
+                           BoxView::packed(slice, side, box));
+        return slice;
+      };
+      const std::vector<double> mass = in_box(1200 + box.width());
+      std::vector<Factor> chain;
+      for (std::uint64_t k = 0; k < 4; ++k)
+        chain.push_back({in_box(1300 + k), 1e-4});
+      if (zero_mid_chain)
+        chain[2] = {std::vector<double>(side * side, 0.0), 0.0};
+
+      for (const simd::Mode m : available_modes()) {
+        simd::set_mode(m);
+        std::vector<double> want = mass;
+        for (const Factor& f : chain)
+          beliefops::multiply_in(BoxView::dense(want, side, box),
+                                 ConstBoxView::dense(f.cells, side, box),
+                                 f.floor);
+
+        std::vector<double> dense = mass, packed = pack(mass);
+        double dense_pending = 0.0, packed_pending = 0.0;
+        for (std::size_t k = 0; k < chain.size(); ++k) {
+          const std::vector<double> packed_factor = pack(chain[k].cells);
+          dense_pending = beliefops::product_step(
+              BoxView::dense(dense, side, box),
+              ConstBoxView::dense(chain[k].cells, side, box), chain[k].floor,
+              dense_pending);
+          packed_pending = beliefops::product_step(
+              BoxView::packed(packed, side, box),
+              ConstBoxView::packed(packed_factor, side, box), chain[k].floor,
+              packed_pending);
+          // The vanished mass resets to uniform and leaves nothing pending.
+          if (zero_mid_chain && k == 2) {
+            EXPECT_EQ(dense_pending, 0.0);
+          }
+        }
+        beliefops::product_finish(BoxView::dense(dense, side, box),
+                                  dense_pending);
+        beliefops::product_finish(BoxView::packed(packed, side, box),
+                                  packed_pending);
+
+        const std::vector<double> want_packed = pack(want);
+        for (std::size_t c = 0; c < side * side; ++c)
+          ASSERT_EQ(bits(dense[c]), bits(want[c]))
+              << "dense c=" << c << " width=" << box.width()
+              << " mode=" << static_cast<int>(m) << " zero=" << zero_mid_chain;
+        for (std::size_t k = 0; k < packed.size(); ++k)
+          ASSERT_EQ(bits(packed[k]), bits(want_packed[k]))
+              << "packed k=" << k << " width=" << box.width()
+              << " mode=" << static_cast<int>(m) << " zero=" << zero_mid_chain;
+      }
+    }
+  }
+}
+
 // beliefops at odd grid sides: the dense ops route through the primitives,
 // so vector modes must agree with scalar within normalization tolerance on
 // grids whose row length is not a multiple of any lane width.
