@@ -137,7 +137,7 @@ int main() {
         const AggregateRow plain = run_algorithm(*algo, base, bc.trials, off);
 
         obs::RunTelemetry telemetry;
-        telemetry.span_trials = true;  // full tier: spans ride along too
+        telemetry.aggregate.spans_enabled = true;  // full tier: span records
         RunOptions on;
         on.threads = threads;
         on.telemetry = &telemetry;

@@ -16,7 +16,7 @@
 //     compared bit for bit; this is the ≥ 2× acceptance headline.
 //  C. whole engine — GridBncl with message reuse on (the default) vs off
 //     (reuse_messages = false), comparing the telemetry
-//     "grid.rounds" phase time and asserting every aggregate statistic of
+//     "grid.level" phase time and asserting every aggregate statistic of
 //     the two runs is exactly equal.
 #include "bench_common.hpp"
 
@@ -93,7 +93,7 @@ double compute_message_new(const RangeKernel& k, const SparseBelief& src,
 
 double rounds_seconds_per_trial(const obs::RunTelemetry& rt,
                                 std::size_t trials) {
-  return rt.aggregate.registry.timer_seconds("grid.rounds") /
+  return rt.aggregate.registry.timer_seconds("grid.level") /
          static_cast<double>(trials);
 }
 
@@ -261,7 +261,7 @@ int main() {
 
     RunOptions opt;  // serial trials: clean per-phase timing
     obs::RunTelemetry fast_rt, slow_rt;
-    fast_rt.trace_trials = slow_rt.trace_trials = false;
+    fast_rt.aggregate.trace_enabled = slow_rt.aggregate.trace_enabled = false;
 
     opt.telemetry = &slow_rt;
     const AggregateRow slow_row = run_algorithm(slow_engine, cfg, bc.trials, opt);
@@ -274,7 +274,7 @@ int main() {
     const double fast_ms = rounds_seconds_per_trial(fast_rt, bc.trials) * 1e3;
     const auto& reg = fast_rt.aggregate.registry;
 
-    std::printf("C: whole engine (\"grid.rounds\" phase), %zu trials\n",
+    std::printf("C: whole engine (\"grid.level\" phase), %zu trials\n",
                 bc.trials);
     AsciiTable t({"variant", "rounds ms/tr", "msgs computed", "msgs reused",
                   "speedup"});

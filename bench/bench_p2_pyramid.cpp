@@ -52,7 +52,7 @@ Measured measure(const GridBncl& engine, const ScenarioConfig& cfg,
     // change an output bit — only the wall column could notice, and the
     // min-over-reps absorbs that.
     obs::RunTelemetry rt;
-    rt.trace_trials = false;
+    rt.aggregate.trace_enabled = false;
     RunOptions opt = RunOptions::from_env();
     opt.telemetry = &rt;
     m.row = run_algorithm(engine, cfg, trials, opt);

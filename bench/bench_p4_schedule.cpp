@@ -48,7 +48,7 @@ Measured measure(const GridBncl& engine, const ScenarioConfig& cfg,
                  std::size_t trials) {
   Measured m;
   obs::RunTelemetry rt;
-  rt.trace_trials = false;
+  rt.aggregate.trace_enabled = false;
   RunOptions opt = RunOptions::from_env();
   opt.telemetry = &rt;
   m.row = run_algorithm(engine, cfg, trials, opt);

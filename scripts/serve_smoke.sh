@@ -78,11 +78,16 @@ python3 scripts/check_metrics.py prom "$TMP/m1.prom" \
   --require grid_cell_visits_total \
   --require grid_kernel_cells_total \
   --require grid_round_residual
+# m2 comes from a run without --trace-out, so spans are off there: the phase
+# timers must reach the exposition anyway.
 python3 scripts/check_metrics.py prom "$TMP/m2.prom" \
+  --require serve_request_calls_total \
+  --require grid_update_calls_total \
   --monotonic-since "$TMP/m1.prom"
 python3 scripts/check_metrics.py trace "$TMP/t1.json" \
   --require serve.request --require grid.run \
   --contains serve.request grid.run \
+  --contains grid.run grid.setup \
   --contains grid.run grid.update
 
 echo "serve smoke passed"

@@ -48,12 +48,12 @@ LocalizationResult DvHopLocalizer::localize(const Scenario& scenario,
   }
 
   // Phase 1: hop-count flood from every anchor.
-  obs::PhaseTimer flood_timer("dvhop.hop_flood");
+  obs::Span flood_span("dvhop.hop_flood");
   const auto hops = multi_source_hops(scenario.graph, anchors);
-  flood_timer.stop();
+  flood_span.close();
 
   // Phase 2: per-anchor average hop length from anchor-to-anchor geometry.
-  obs::PhaseTimer corrections_timer("dvhop.corrections");
+  obs::Span corrections_span("dvhop.corrections");
   std::vector<double> hop_len(anchors.size(), 0.0);
   for (std::size_t a = 0; a < anchors.size(); ++a) {
     double dist_sum = 0.0;
@@ -70,11 +70,11 @@ LocalizationResult DvHopLocalizer::localize(const Scenario& scenario,
                              : scenario.radio.range;
   }
 
-  corrections_timer.stop();
+  corrections_span.close();
 
   // Phase 3: unknowns adopt the correction of their nearest (fewest hops)
   // anchor and trilaterate on hop-estimated distances.
-  obs::PhaseTimer lateration_timer("dvhop.lateration");
+  obs::Span lateration_span("dvhop.lateration");
   for (std::size_t i = 0; i < scenario.node_count(); ++i) {
     if (scenario.is_anchor[i]) continue;
     std::size_t nearest = anchors.size();
@@ -99,7 +99,7 @@ LocalizationResult DvHopLocalizer::localize(const Scenario& scenario,
     if (auto p = lateration(pos, dist))
       result.estimates[i] = scenario.field.clamp(*p);
   }
-  lateration_timer.stop();
+  lateration_span.close();
 
   // Protocol cost: each anchor flood traverses the whole network once
   // (every node rebroadcasts the best hop count once per anchor), plus the

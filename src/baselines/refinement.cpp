@@ -72,7 +72,7 @@ LocalizationResult RefinementLocalizer::localize(const Scenario& scenario,
   if (tracing) obs::trace_begin(name());
   obs::count("refine.runs");
   std::vector<std::optional<Vec2>> traced_estimates;  // tracing only
-  obs::PhaseTimer rounds_timer("refine.rounds");
+  obs::Span rounds_span("refine.rounds");
   std::vector<Vec2> staged = estimate;
   std::size_t iter = 0;
   for (; iter < config_.max_iterations; ++iter) {
@@ -158,7 +158,7 @@ LocalizationResult RefinementLocalizer::localize(const Scenario& scenario,
       break;
     }
   }
-  rounds_timer.stop();
+  rounds_span.close();
   obs::count(result.converged ? "refine.converged" : "refine.maxed_out");
 
   for (std::size_t i = 0; i < n; ++i)

@@ -85,7 +85,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   // this engine's unit of useful work, the analogue of grid.cell_visits
   // (the engine is serial, so a plain accumulator is thread-safe).
   std::uint64_t factor_visits = 0;
-  obs::PhaseTimer rounds_timer("gauss.rounds");
+  obs::Span rounds_span("gauss.rounds");
   std::size_t iter = 0;
   for (; iter < config_.iteration.max_iterations; ++iter) {
     transport.begin_round();
@@ -200,7 +200,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       break;
     }
   }
-  rounds_timer.stop();
+  rounds_span.close();
   obs::count("gauss.factor_visits", factor_visits);
   obs::count(result.converged ? "gauss.converged" : "gauss.maxed_out");
 

@@ -1033,11 +1033,10 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   if (obs::trace_active()) obs::trace_begin(name());
   obs::count("grid.runs");
   const obs::Span run_span("grid.run");
-  obs::PhaseTimer setup_timer("grid.setup");
+  obs::Span setup_span("grid.setup");
   GridRun run(config_, scenario, rng);
-  setup_timer.stop();
+  setup_span.close();
 
-  obs::PhaseTimer rounds_timer("grid.rounds");
   for (std::size_t lvl = 0; lvl < run.levels(); ++lvl) {
     const obs::Span level_span("grid.level");
     const std::size_t rounds = run.enter_level(lvl);
@@ -1051,7 +1050,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     }
     run.count_state_bytes();
   }
-  rounds_timer.stop();
   run.finish(result);
   result.seconds = watch.seconds();
   return result;

@@ -65,7 +65,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
   if (tracing) obs::trace_begin(name());
   obs::count("particle.runs");
   const obs::Span run_span("particle.run");
-  obs::PhaseTimer setup_timer("particle.setup");
+  obs::Span setup_span("particle.setup");
 
   // Anchor vetting: flagged anchors trade their delta cloud for a
   // radio-range-wide one and re-estimate like unknowns.
@@ -95,12 +95,12 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
 
   std::vector<double> weights(k_particles);
   std::vector<std::optional<Vec2>> traced_estimates;  // tracing only
-  setup_timer.stop();
+  setup_span.close();
   // Work counter: particle-times-cloud-point likelihood evaluations in the
   // reweight pass — this engine's unit of useful work, the analogue of
   // grid.cell_visits (the engine is serial, so a plain accumulator works).
   std::uint64_t weight_evals = 0;
-  obs::PhaseTimer rounds_timer("particle.rounds");
+  obs::Span rounds_span("particle.rounds");
   std::size_t iter = 0;
   for (; iter < config_.iteration.max_iterations; ++iter) {
     transport.begin_round();
@@ -249,7 +249,7 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
       break;
     }
   }
-  rounds_timer.stop();
+  rounds_span.close();
   obs::count("particle.weight_evals", weight_evals);
   obs::count(result.converged ? "particle.converged" : "particle.maxed_out");
 

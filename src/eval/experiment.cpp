@@ -71,8 +71,8 @@ AggregateRow run_algorithm(const Localizer& algo, const ScenarioConfig& base,
     telemetry->trials.clear();
     telemetry->trials.resize(trials);
     for (obs::Telemetry& sink : telemetry->trials) {
-      sink.trace_enabled = telemetry->trace_trials;
-      sink.spans_enabled = telemetry->span_trials;
+      sink.trace_enabled = telemetry->aggregate.trace_enabled;
+      sink.spans_enabled = telemetry->aggregate.spans_enabled;
     }
   }
   obs::Telemetry* ambient = obs::current();
@@ -83,16 +83,16 @@ AggregateRow run_algorithm(const Localizer& algo, const ScenarioConfig& base,
                                               : ambient);
     ScenarioConfig cfg = base;
     cfg.seed = base.seed + t;
-    obs::PhaseTimer build_timer("harness.build_scenario");
+    obs::Span build_span("harness.build_scenario");
     const Scenario scenario = build_scenario(cfg);
-    build_timer.stop();
+    build_span.close();
     Rng rng = make_algo_rng(row.algo, cfg.seed);
-    obs::PhaseTimer solve_timer("harness.localize");
+    obs::Span solve_span("harness.localize");
     const LocalizationResult result = algo.localize(scenario, rng);
-    solve_timer.stop();
-    obs::PhaseTimer eval_timer("harness.evaluate");
+    solve_span.close();
+    obs::Span eval_span("harness.evaluate");
     ErrorReport report = evaluate(scenario, result);
-    eval_timer.stop();
+    eval_span.close();
     TrialOutcome& out = outcomes[t];
     out.errors = std::move(report.errors);
     out.has_errors = !out.errors.empty();

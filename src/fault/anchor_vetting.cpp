@@ -26,7 +26,7 @@ struct PairEvidence {
 
 AnchorVetReport vet_anchors(const Scenario& scenario,
                             const AnchorVetConfig& config) {
-  const obs::PhaseTimer vet_timer("fault.vet_anchors");
+  const obs::Span vet_span("fault.vet_anchors");
   const std::size_t n = scenario.node_count();
   AnchorVetReport report;
   report.flagged.assign(n, 0);

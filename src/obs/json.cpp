@@ -108,4 +108,13 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
+bool write_text_file(const std::string& path, std::string_view text,
+                     bool append) {
+  std::FILE* f = std::fopen(path.c_str(), append ? "a" : "w");
+  if (!f) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool closed = std::fclose(f) == 0;
+  return ok && closed;
+}
+
 }  // namespace bnloc::obs

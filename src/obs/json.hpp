@@ -56,4 +56,10 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
+/// Write `text` to `path` (truncating, or appending when `append`). Returns
+/// false when the file cannot be opened, written or closed — a write that
+/// fails only when the buffer is flushed at close is a failure too.
+bool write_text_file(const std::string& path, std::string_view text,
+                     bool append = false);
+
 }  // namespace bnloc::obs

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace bnloc::obs {
 
 namespace {
@@ -186,12 +188,7 @@ std::string prometheus_text(const Registry& registry) {
 }
 
 bool export_prometheus(const std::string& path, const Registry& registry) {
-  const std::string text = prometheus_text(registry);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool closed = std::fclose(f) == 0;
-  return ok && closed;
+  return write_text_file(path, prometheus_text(registry));
 }
 
 }  // namespace bnloc::obs

@@ -8,19 +8,6 @@
 
 namespace bnloc::obs {
 
-namespace {
-
-bool write_text_file(const std::string& path, const std::string& text,
-                     bool append) {
-  std::FILE* f = std::fopen(path.c_str(), append ? "a" : "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  return ok;
-}
-
-}  // namespace
-
 std::string describe_ranging(const ScenarioConfig& config) {
   const char* type = config.radio.ranging.type == RangingType::log_normal
                          ? "log_normal"
@@ -126,7 +113,7 @@ bool export_run_report_json(const std::string& path,
   }
   w.end_array();
   w.end_object();
-  return write_text_file(path, w.str() + "\n", /*append=*/false);
+  return write_text_file(path, w.str() + "\n");
 }
 
 bool export_trace_jsonl(const std::string& path,

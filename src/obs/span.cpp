@@ -1,7 +1,6 @@
 #include "obs/span.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
@@ -78,24 +77,36 @@ void SpanStore::clear() {
   rows_.clear();
 }
 
-Span::Span(const char* name) noexcept {
+Span::Span(const char* name) noexcept : name_(name) {
   Telemetry* t = current();
-  if (!t || !t->spans_enabled) return;
+  if (!t) return;
+  sink_ = t;
+  start_ns_ = trace_now_ns();
+  if (!t->spans_enabled) return;
   const std::int32_t parent =
       t_span_frame.sink == t ? t_span_frame.span : -1;
-  sink_ = t;
-  index_ = t->spans.begin(name, parent, trace_now_ns());
+  index_ = t->spans.begin(name, parent, start_ns_);
   saved_frame_sink_ = t_span_frame.sink;
   saved_frame_span_ = t_span_frame.span;
   t_span_frame.sink = t;
   t_span_frame.span = index_;
 }
 
-Span::~Span() {
+void Span::close() noexcept {
   if (!sink_) return;
-  static_cast<Telemetry*>(sink_)->spans.end(index_, trace_now_ns());
-  t_span_frame.sink = static_cast<Telemetry*>(saved_frame_sink_);
-  t_span_frame.span = saved_frame_span_;
+  auto* t = static_cast<Telemetry*>(sink_);
+  sink_ = nullptr;
+  const std::uint64_t end_ns = trace_now_ns();
+  if (index_ >= 0) {
+    BNLOC_ASSERT(t_span_frame.sink == t && t_span_frame.span == index_,
+                 "recorded spans must close innermost first");
+    t->spans.end(index_, end_ns);
+    t_span_frame.sink = static_cast<Telemetry*>(saved_frame_sink_);
+    t_span_frame.span = saved_frame_span_;
+  }
+  // The same clamp SpanStore::end applies, so the timer is exactly the sum
+  // of the recorded durations.
+  t->registry.time_ns(name_, end_ns > start_ns_ ? end_ns - start_ns_ : 0);
 }
 
 bool export_trace_events_json(const std::string& path,
@@ -124,12 +135,7 @@ bool export_trace_events_json(const std::string& path,
   w.kv("displayTimeUnit", "ms");
   w.end_object();
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string& text = w.str();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool closed = std::fclose(f) == 0;
-  return ok && closed;
+  return write_text_file(path, w.str());
 }
 
 }  // namespace bnloc::obs

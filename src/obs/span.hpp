@@ -1,25 +1,27 @@
-// Hierarchical spans: nested phase timings with ambient parent tracking.
+// Spans: the one scoped phase timer, with optional per-instance records.
 //
-// A Span is the structural cousin of obs::PhaseTimer: where a timer folds
-// all calls of a phase into one registry slot, a span records each *instance*
-// with its start time, duration, and parent — enough to reconstruct the
-// timeline of one request (serve request → engine run → pyramid level →
-// publish/update/commit) and open it in a trace viewer via
-// export_trace_events_json (Chrome/Perfetto trace-event format).
+// With a sink installed, every Span adds its duration to the registry timer
+// of its own name (Registry::time_ns) when it closes — so a registry's
+// timers are exactly the fold of its spans. When the sink also sets
+// Telemetry::spans_enabled, the span records its *instance* with start time,
+// duration and parent — enough to reconstruct the timeline of one request
+// (serve request → engine run → pyramid level → publish/update/commit) and
+// open it in a trace viewer via export_trace_events_json
+// (Chrome/Perfetto trace-event format).
 //
 // Same write-only contract as the rest of obs/: a Span never reads anything
 // back, so results are bit-identical with spans on or off (the recorded
 // timestamps are wall-clock and outside the determinism contract — only the
-// span *structure* is reproducible). Spans are gated on
-// Telemetry::spans_enabled, which defaults to FALSE: unlike counters, each
-// span instance allocates a record, so the Monte-Carlo harness (thousands of
-// rounds × trials) stays lean unless a caller opts in.
+// span *structure* is reproducible). Records are opt-in (spans_enabled
+// defaults to FALSE): unlike a timer slot, each instance allocates a record,
+// so the Monte-Carlo harness (thousands of rounds × trials) stays lean
+// unless a caller opts in.
 //
 // Parent tracking is per-thread: a thread-local frame remembers the
-// innermost open span *for the current sink*. Spans opened on a different
-// thread (or under a different sink) become roots — exactly right for the
-// serve tier, where each request's engine runs on one worker and the
-// per-request stores are merged in request order onto distinct tracks.
+// innermost open recorded span *for the current sink*. Spans opened on a
+// different thread (or under a different sink) become roots — exactly right
+// for the serve tier, where each request's engine runs on one worker and
+// the per-request stores are merged in request order onto distinct tracks.
 #pragma once
 
 #include <cstdint>
@@ -72,18 +74,28 @@ class SpanStore {
   std::vector<SpanRecord> rows_;
 };
 
-/// RAII span over the ambient sink (obs/telemetry.hpp). No-op unless a sink
-/// is installed on this thread AND its spans_enabled is set.
+/// RAII phase timer over the ambient sink (obs/telemetry.hpp). Without a
+/// sink installed on this thread it does nothing. With one, it times from
+/// construction to close() (or destruction) into the sink's registry timer
+/// `name`, and also records the instance when the sink's spans_enabled is
+/// set. Recorded spans must close innermost first (asserted).
 class Span {
  public:
   explicit Span(const char* name) noexcept;
-  ~Span();
+  ~Span() { close(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// End the span now; later calls and the destructor do nothing.
+  void close() noexcept;
+
  private:
-  void* sink_ = nullptr;  ///< Telemetry*; void* keeps the header cycle-free.
-  std::int32_t index_ = -1;
+  /// Telemetry* (void* keeps the header cycle-free); null without a sink
+  /// or once closed.
+  void* sink_ = nullptr;
+  const char* name_;
+  std::uint64_t start_ns_ = 0;
+  std::int32_t index_ = -1;  ///< record index; -1 when not recorded.
   /// Saved thread-local frame, restored on close (handles nested scopes
   /// installing a different sink mid-span).
   void* saved_frame_sink_ = nullptr;

@@ -2,10 +2,13 @@
 //
 // A Telemetry bundles a metrics Registry with a ConvergenceTrace. Install
 // one on the current thread with a TelemetryScope; instrumentation sites
-// (obs::count, obs::gauge, obs::PhaseTimer, obs::record_round) report to
+// (obs::count, obs::gauge, obs::Span, obs::record_round) report to
 // whatever sink is installed and are a thread-local load plus a branch when
 // none is — the null sink costs effectively nothing and is the default
 // everywhere, so the seed behavior of every engine and bench is unchanged.
+// obs::Span (obs/span.hpp) is the one phase timer: every span adds its
+// duration to the registry timer of its name, so timers are the fold of
+// spans whether or not the sink records the span instances.
 //
 // Telemetry is strictly write-only from the instrumented code's point of
 // view: no call reads a metric back, so enabling a sink cannot perturb
@@ -22,7 +25,6 @@
 // you want per-trial traces.
 #pragma once
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -40,9 +42,10 @@ struct Telemetry {
   /// When false the sink captures counters/timers only: engines skip the
   /// per-round estimate emission that feeds the trace.
   bool trace_enabled = true;
-  /// Opt-in: obs::Span records per-instance phase timings into `spans`.
-  /// Off by default — each span allocates a record, and the Monte-Carlo
-  /// harness doesn't want thousands of them per trial.
+  /// Opt-in: obs::Span also records each instance into `spans` (its
+  /// registry timer is kept either way). Off by default — each record
+  /// allocates, and the Monte-Carlo harness doesn't want thousands of them
+  /// per trial.
   bool spans_enabled = false;
 };
 
@@ -66,15 +69,11 @@ class TelemetryScope {
 /// Telemetry capture for one run_algorithm call (eval/experiment.hpp):
 /// `trials[t]` receives trial t's counters, timers, and trace; `aggregate`
 /// receives the per-trial registries folded in trial order after the join,
-/// plus anything recorded outside the trial loop.
+/// plus anything recorded outside the trial loop. Every per-trial sink
+/// takes `aggregate`'s trace_enabled and spans_enabled; per-trial span
+/// stores are folded into `aggregate.spans` in trial order with the trial
+/// index as the track.
 struct RunTelemetry {
-  /// Applied to every per-trial sink: false turns off per-round traces
-  /// (cheaper) while still collecting counters and phase timers.
-  bool trace_trials = true;
-  /// Applied to every per-trial sink: true records obs::Span phase spans.
-  /// Per-trial stores are folded into `aggregate.spans` in trial order with
-  /// the trial index as the track.
-  bool span_trials = false;
   Telemetry aggregate;
   /// deque, not vector: Telemetry holds mutexes and is neither movable nor
   /// copyable, and deque::resize constructs elements in place.
@@ -107,32 +106,5 @@ inline void observe_scaled(std::string_view name, double value,
         name, scaled <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(scaled)));
   }
 }
-
-/// Scoped wall-clock timer for a named phase. Records on stop() or
-/// destruction, whichever comes first; never reads anything back.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(const char* name) noexcept
-      : telemetry_(current()), name_(name) {
-    if (telemetry_) start_ = std::chrono::steady_clock::now();
-  }
-  ~PhaseTimer() { stop(); }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  void stop() noexcept {
-    if (!telemetry_) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    telemetry_->registry.time_ns(name_, static_cast<std::uint64_t>(ns));
-    telemetry_ = nullptr;  // disarm: record at most once
-  }
-
- private:
-  Telemetry* telemetry_;
-  const char* name_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace bnloc::obs

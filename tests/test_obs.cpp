@@ -8,11 +8,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/grid_bncl.hpp"
 #include "eval/experiment.hpp"
+#include "obs/prometheus.hpp"
 #include "obs/report.hpp"
 
 namespace bnloc {
@@ -102,22 +107,30 @@ TEST(TelemetryScope, NullSinkMakesInstrumentationNoOp) {
   // No scope installed: every site must be callable and record nowhere.
   obs::count("nothing");
   obs::gauge("nothing", 1.0);
-  { obs::PhaseTimer t("nothing"); }
+  {
+    obs::Span span("nothing");
+    span.close();
+  }
   EXPECT_FALSE(obs::trace_active());
   EXPECT_EQ(obs::current(), nullptr);
 }
 
-TEST(TelemetryScope, CountAndPhaseTimerReachTheSink) {
+TEST(TelemetryScope, CountAndSpanReachTheSink) {
   obs::Telemetry sink;
+  sink.spans_enabled = true;
   {
     const obs::TelemetryScope scope(&sink);
     obs::count("events", 2);
-    obs::PhaseTimer t("phase");
-    t.stop();
-    t.stop();  // disarmed: must not double-record
+    obs::Span span("phase");
+    span.close();
+    span.close();  // closed: neither this nor the destructor records again
   }
   EXPECT_EQ(sink.registry.counter("events"), 2u);
   EXPECT_EQ(sink.registry.timer_calls("phase"), 1u);
+  const std::vector<obs::SpanRecord> rows = sink.spans.rows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(sink.registry.timer_seconds("phase"),
+            static_cast<double>(rows[0].dur_ns) * 1e-9);
 }
 
 TEST(TelemetryScope, TraceActiveRespectsTraceEnabled) {
@@ -257,7 +270,7 @@ TEST(RunTelemetry, PerTrialSinksFoldIntoAggregate) {
 TEST(RunTelemetry, TraceTrialsFalseSuppressesTraces) {
   const GridBncl engine;
   obs::RunTelemetry telemetry;
-  telemetry.trace_trials = false;
+  telemetry.aggregate.trace_enabled = false;
   RunOptions options;
   options.telemetry = &telemetry;
   (void)run_algorithm(engine, small_config(), 2, options);
@@ -367,7 +380,7 @@ TEST(RunTelemetry, SpanTrialsCapturesNestedSpansDeterministically) {
   std::size_t serial_spans = 0;
   for (std::size_t threads : {1u, 4u}) {
     obs::RunTelemetry telemetry;
-    telemetry.span_trials = true;
+    telemetry.aggregate.spans_enabled = true;
     RunOptions on;
     on.threads = threads;
     on.telemetry = &telemetry;
@@ -375,23 +388,84 @@ TEST(RunTelemetry, SpanTrialsCapturesNestedSpansDeterministically) {
     const std::vector<obs::SpanRecord> rows =
         telemetry.aggregate.spans.rows();
     ASSERT_FALSE(rows.empty());
-    // Each trial contributes one grid.run root; phase spans nest under it.
-    std::size_t roots = 0;
+    // Each trial contributes its three harness phases as roots, and one
+    // grid.run under harness.localize; engine phases nest under grid.run.
+    std::vector<std::string> roots;
+    std::size_t runs = 0;
     for (const obs::SpanRecord& r : rows) {
       if (r.parent < 0) {
-        EXPECT_EQ(r.name, "grid.run");
-        ++roots;
-      } else {
-        ASSERT_LT(static_cast<std::size_t>(r.parent), rows.size());
+        roots.push_back(r.name);
+        continue;
+      }
+      ASSERT_LT(static_cast<std::size_t>(r.parent), rows.size());
+      if (r.name == "grid.run") {
+        EXPECT_EQ(rows[static_cast<std::size_t>(r.parent)].name,
+                  "harness.localize");
+        ++runs;
       }
     }
-    EXPECT_EQ(roots, 2u);
+    const std::vector<std::string> trial_roots = {
+        "harness.build_scenario", "harness.localize", "harness.evaluate"};
+    ASSERT_EQ(roots.size(), 2 * trial_roots.size());
+    for (std::size_t i = 0; i < roots.size(); ++i)
+      EXPECT_EQ(roots[i], trial_roots[i % trial_roots.size()]);
+    EXPECT_EQ(runs, 2u);
     // The span *count* is a pure function of control flow — thread-count
     // invariant even though the recorded durations are not.
     if (threads == 1)
       serial_spans = rows.size();
     else
       EXPECT_EQ(rows.size(), serial_spans);
+  }
+}
+
+TEST(RunTelemetry, TimersAreTheFoldOfSpansAtOneAndFourThreads) {
+  GridBnclConfig gc;
+  gc.grid_side = 42;
+  gc.pyramid_levels = 2;
+  const GridBncl engine(gc);
+  const ScenarioConfig cfg = small_config();
+  constexpr std::size_t kTrials = 3;
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    RunOptions options;
+    options.threads = threads;
+    obs::RunTelemetry on;
+    on.aggregate.spans_enabled = true;
+    options.telemetry = &on;
+    (void)run_algorithm(engine, cfg, kTrials, options);
+
+    // Per span name: number of records and their summed durations.
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> fold;
+    for (const obs::SpanRecord& r : on.aggregate.spans.rows()) {
+      ++fold[r.name].first;
+      fold[r.name].second += r.dur_ns;
+    }
+    EXPECT_EQ(fold["grid.level"].first, 2 * kTrials);
+    const obs::Registry& reg = on.aggregate.registry;
+    for (const auto& [name, calls_ns] : fold) {
+      EXPECT_EQ(reg.timer_calls(name), calls_ns.first) << name;
+      EXPECT_EQ(reg.timer_seconds(name),
+                static_cast<double>(calls_ns.second) * 1e-9)
+          << name;
+    }
+    // Every timer is some span's fold.
+    std::size_t timers = 0;
+    for (const obs::MetricEntry& e : reg.snapshot()) {
+      if (e.kind != obs::MetricKind::timer) continue;
+      ++timers;
+      EXPECT_EQ(fold.count(e.name), 1u) << e.name;
+    }
+    EXPECT_EQ(timers, fold.size());
+
+    // Spans off: the same timer calls, and no records.
+    obs::RunTelemetry off;
+    options.telemetry = &off;
+    (void)run_algorithm(engine, cfg, kTrials, options);
+    EXPECT_TRUE(off.aggregate.spans.empty());
+    for (const auto& [name, calls_ns] : fold)
+      EXPECT_EQ(off.aggregate.registry.timer_calls(name), calls_ns.first)
+          << name;
   }
 }
 
@@ -470,6 +544,20 @@ TEST(Exporters, BadPathsReturnFalse) {
   const obs::RunReport report;
   EXPECT_FALSE(
       obs::export_run_report_json("/no-such-dir-xyz/r.json", report));
+
+  // A full device accepts the open and the buffered write and fails at the
+  // flush on close. Non-empty inputs: an empty buffer never fails there.
+  if (!std::filesystem::exists("/dev/full")) return;
+  trace.record(1, 0.5, 0.1, 3, CommStats{}, {});
+  obs::Registry registry;
+  registry.count("events");
+  obs::SpanStore spans;
+  spans.end(spans.begin("phase", -1, 10), 20);
+  EXPECT_FALSE(obs::export_trace_jsonl("/dev/full", trace));
+  EXPECT_FALSE(obs::export_trace_jsonl("/dev/full", trace, /*append=*/true));
+  EXPECT_FALSE(obs::export_run_report_json("/dev/full", report));
+  EXPECT_FALSE(obs::export_prometheus("/dev/full", registry));
+  EXPECT_FALSE(obs::export_trace_events_json("/dev/full", spans));
 }
 
 }  // namespace

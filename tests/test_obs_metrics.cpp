@@ -204,6 +204,8 @@ TEST(Span, DisabledByDefaultAndWithoutSink) {
     const obs::Span s("ignored");
   }
   EXPECT_TRUE(sink.spans.empty());
+  // The registry timer is kept with records off.
+  EXPECT_EQ(sink.registry.timer_calls("ignored"), 1u);
 }
 
 TEST(Span, NestedScopeWithDifferentSinkStartsNewRootAndRestores) {
