@@ -25,20 +25,17 @@ std::vector<double> error_trace(const ScenarioConfig& base,
     gc.iteration.max_iterations = iterations;
     gc.iteration.convergence_tol = 0.0;  // run the full trace
     gc.damping = damping;
-    gc.observer = [&](std::size_t iter,
-                      std::span<const std::optional<Vec2>> est) {
-      double err = 0.0;
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < s.node_count(); ++i) {
-        if (s.is_anchor[i] || !est[i]) continue;
-        err += distance(*est[i], s.true_positions[i]) / s.radio.range;
-        ++count;
-      }
-      per_iter[iter - 1] += err / static_cast<double>(count);
-    };
     const GridBncl engine(gc);
     Rng rng = make_algo_rng("bncl-grid-trace", cfg.seed);
-    (void)engine.localize(s, rng);
+    // Each trace row carries the round's mean |estimate - truth| / R over
+    // localized unknowns.
+    obs::Telemetry telemetry;
+    {
+      const obs::TelemetryScope scope(&telemetry);
+      (void)engine.localize(s, rng);
+    }
+    for (const obs::TraceRound& row : telemetry.trace.rows())
+      per_iter[row.round - 1] += row.mean_error;
   }
   for (double& v : per_iter) v /= static_cast<double>(trials);
   return per_iter;

@@ -166,8 +166,8 @@ int main() {
         beliefops::set_delta(shape, priors[i], scenario.anchor_position(i));
       else
         beliefops::set_from_prior(shape, priors[i], *scenario.priors[i]);
-      beliefops::sparsify_into(priors[i], gc.support_mass,
-                               gc.max_support_cells, sp, order_scratch);
+      beliefops::sparsify_into(priors[i], GridBncl::kSupportMass,
+                               GridBncl::kMaxSupportCells, sp, order_scratch);
       summary[i] = sp;
     }
 

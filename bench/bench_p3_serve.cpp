@@ -4,7 +4,7 @@
 //  A. throughput — a ≥64-request mixed-tenant batch (all three engines,
 //     one async-transport request per tenant round) through BatchService:
 //     requests/sec, p50/p99 service latency, and the per-tenant memory
-//     columns (arena high-water, peak result bytes).
+//     column (peak bytes of results and response lines per batch).
 //  B. isolation gate — every request of a 32-request mixed-tenant batch is
 //     re-served solo and compared BIT FOR BIT against its in-batch
 //     response (estimates, covariances, comm counters, transport_hash,
@@ -38,8 +38,8 @@ bool same_bits(double a, double b) {
 }
 
 /// Bit-exact equality of everything in a response except wall-clock
-/// (ServeResponse::seconds, result.seconds) — the payload the determinism
-/// contract covers.
+/// (ServeResponse::seconds, ServeResponse::solver_seconds) — the payload
+/// the determinism contract covers.
 bool payload_identical(const serve::ServeResponse& a,
                        const serve::ServeResponse& b) {
   if (a.tenant != b.tenant || a.id != b.id || a.engine != b.engine ||
@@ -209,13 +209,11 @@ int main() {
               stats.latency_quantile(0.99) * 1e3);
 
   AsciiTable tenants_table(
-      {"tenant", "requests", "failed", "latency s", "arena peak B",
-       "result peak B"});
+      {"tenant", "requests", "failed", "latency s", "result peak B"});
   for (const serve::TenantStats& t : service.tenants())
     tenants_table.add_row({t.tenant, AsciiTable::fmt(double(t.requests), 0),
                            AsciiTable::fmt(double(t.failed), 0),
                            AsciiTable::fmt(t.total_seconds, 3),
-                           AsciiTable::fmt(double(t.arena_high_water), 0),
                            AsciiTable::fmt(double(t.result_bytes_peak), 0)});
   tenants_table.print(std::cout);
   std::printf("\n");
@@ -230,7 +228,6 @@ int main() {
     json.begin_object();
     json.kv("tenant", t.tenant);
     json.kv("requests", static_cast<std::uint64_t>(t.requests));
-    json.kv("arena_peak_bytes", static_cast<std::uint64_t>(t.arena_high_water));
     json.kv("result_peak_bytes",
             static_cast<std::uint64_t>(t.result_bytes_peak));
     json.end_object();

@@ -154,6 +154,12 @@ int main(int argc, char** argv) {
     for (const auto& response : responses)
       if (!response.ok) all_ok = false;
   }
+  // The result lines are the product: a stdout that lost any of them (a
+  // full disk, say) is a failed run, not a quiet success.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "bnloc_serve: cannot write the results to stdout\n");
+    return 1;
+  }
 
   if (!quiet) {
     const serve::BatchStats& batch = service.last_batch();
@@ -164,13 +170,13 @@ int main(int argc, char** argv) {
                  batch.wall_seconds, batch.requests_per_second(),
                  batch.latency_quantile(0.50) * 1e3,
                  batch.latency_quantile(0.99) * 1e3);
-    std::fprintf(stderr, "%-12s %9s %7s %12s %14s %9s %9s %9s\n", "tenant",
-                 "requests", "failed", "latency (s)", "arena peak (B)",
+    std::fprintf(stderr, "%-12s %9s %7s %12s %15s %9s %9s %9s\n", "tenant",
+                 "requests", "failed", "latency (s)", "result peak (B)",
                  "p50 (ms)", "p95 (ms)", "p99 (ms)");
     for (const serve::TenantStats& tenant : service.tenants())
-      std::fprintf(stderr, "%-12s %9zu %7zu %12.3f %14zu %9.1f %9.1f %9.1f\n",
+      std::fprintf(stderr, "%-12s %9zu %7zu %12.3f %15zu %9.1f %9.1f %9.1f\n",
                    tenant.tenant.c_str(), tenant.requests, tenant.failed,
-                   tenant.total_seconds, tenant.arena_high_water,
+                   tenant.total_seconds, tenant.result_bytes_peak,
                    tenant.latency_p50 * 1e3, tenant.latency_p95 * 1e3,
                    tenant.latency_p99 * 1e3);
     if (service.config().share_kernels) {

@@ -34,11 +34,12 @@ int main() {
   //    localization with pre-knowledge.
   GridBncl engine;
   Rng rng(7);
+  const Stopwatch watch;
   const LocalizationResult result = engine.localize(scenario, rng);
   std::printf("engine: %s, %zu iterations (%s), %.0f ms\n",
               engine.name().c_str(), result.iterations,
               result.converged ? "converged" : "iteration cap",
-              result.seconds * 1e3);
+              watch.milliseconds());
   std::printf("protocol: %.1f broadcasts/node, %.0f bytes/node\n",
               result.comm.messages_per_node(scenario.node_count()),
               result.comm.bytes_per_node(scenario.node_count()));

@@ -62,7 +62,16 @@ for index, field in ((1, "nodes"), (2, "radio_range")):
                  f"{lines[index]}")
 EOF
 
-# 4. Observability surface: one batch -> Prometheus exposition + Perfetto
+# 4. Results that never reach stdout are a failed run, not a quiet success:
+# with stdout on a full device the binary must exit nonzero.
+if [ -e /dev/full ]; then
+  if "$SERVE" --quiet "$TMP/batch.json" > /dev/full 2> /dev/null; then
+    echo "serve_smoke: expected nonzero exit with stdout on /dev/full" >&2
+    exit 1
+  fi
+fi
+
+# 5. Observability surface: one batch -> Prometheus exposition + Perfetto
 # trace; the same batch twice (--repeat 2) -> every integer event counter
 # at least doubles, i.e. is monotonic in served work. The payload lines of
 # the instrumented run must still match run 1 bit for bit.

@@ -4,7 +4,6 @@
 
 #include "baselines/dvhop.hpp"
 #include "graph/shortest_path.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
@@ -31,14 +30,10 @@ double expected_hop_progress(double local_density) {
 
 LocalizationResult AmorphousLocalizer::localize(const Scenario& scenario,
                                                 Rng& /*rng*/) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
   const auto anchors = scenario.anchor_indices();
   const std::size_t n = scenario.node_count();
-  if (anchors.size() < config_.min_anchors) {
-    result.seconds = watch.seconds();
-    return result;
-  }
+  if (anchors.size() < config_.min_anchors) return result;
 
   const auto hops = multi_source_hops(scenario.graph, anchors);
 
@@ -96,7 +91,6 @@ LocalizationResult AmorphousLocalizer::localize(const Scenario& scenario,
         (anchors.size() + 1) * scenario.graph.degree(u);
   result.iterations = 1;
   result.converged = true;
-  result.seconds = watch.seconds();
   return result;
 }
 

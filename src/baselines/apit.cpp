@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "support/timer.hpp"
-
 namespace bnloc {
 
 bool point_in_triangle(Vec2 p, Vec2 a, Vec2 b, Vec2 c) noexcept {
@@ -31,7 +29,6 @@ double link_distance(const Scenario& s, std::size_t node,
 
 LocalizationResult ApitLocalizer::localize(const Scenario& scenario,
                                            Rng& /*rng*/) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
   const std::size_t n = scenario.node_count();
   const std::size_t g = config_.scan_grid;
@@ -135,7 +132,6 @@ LocalizationResult ApitLocalizer::localize(const Scenario& scenario,
     result.comm.messages_received += scenario.graph.degree(u);
   result.iterations = 1;
   result.converged = true;
-  result.seconds = watch.seconds();
   return result;
 }
 

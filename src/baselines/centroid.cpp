@@ -1,12 +1,9 @@
 #include "baselines/centroid.hpp"
 
-#include "support/timer.hpp"
-
 namespace bnloc {
 
 LocalizationResult CentroidLocalizer::localize(const Scenario& scenario,
                                                Rng& /*rng*/) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
 
   for (std::size_t i = 0; i < scenario.node_count(); ++i) {
@@ -32,7 +29,6 @@ LocalizationResult CentroidLocalizer::localize(const Scenario& scenario,
   }
   result.iterations = 1;
   result.converged = true;
-  result.seconds = watch.seconds();
   return result;
 }
 

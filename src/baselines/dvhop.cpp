@@ -6,7 +6,6 @@
 #include "linalg/solve.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
@@ -36,16 +35,12 @@ std::optional<Vec2> lateration(std::span<const Vec2> anchors,
 
 LocalizationResult DvHopLocalizer::localize(const Scenario& scenario,
                                             Rng& /*rng*/) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
   const bool tracing = obs::trace_active();
   if (tracing) obs::trace_begin(name());
   obs::count("dvhop.runs");
   const auto anchors = scenario.anchor_indices();
-  if (anchors.size() < config_.min_anchors) {
-    result.seconds = watch.seconds();
-    return result;
-  }
+  if (anchors.size() < config_.min_anchors) return result;
 
   // Phase 1: hop-count flood from every anchor.
   obs::Span flood_span("dvhop.hop_flood");
@@ -116,7 +111,6 @@ LocalizationResult DvHopLocalizer::localize(const Scenario& scenario,
   // One-shot algorithm: the trace is a single row of the final state.
   if (tracing)
     obs::record_round(scenario, 1, 0.0, result.estimates, result.comm);
-  result.seconds = watch.seconds();
   return result;
 }
 

@@ -6,13 +6,11 @@
 #include "graph/shortest_path.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/procrustes.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
 LocalizationResult MdsMapLocalizer::localize(const Scenario& scenario,
                                              Rng& rng) const {
-  const Stopwatch watch;
   const std::size_t n = scenario.node_count();
   LocalizationResult result = make_result_skeleton(scenario);
 
@@ -29,10 +27,7 @@ LocalizationResult MdsMapLocalizer::localize(const Scenario& scenario,
   for (std::size_t i = 0; i < n; ++i)
     if (labels[i] == giant) members.push_back(i);
   const std::size_t m = members.size();
-  if (m < 3) {
-    result.seconds = watch.seconds();
-    return result;
-  }
+  if (m < 3) return result;
 
   // All-pairs shortest weighted paths within the component.
   Matrix d2(m, m);  // squared distances
@@ -68,10 +63,8 @@ LocalizationResult MdsMapLocalizer::localize(const Scenario& scenario,
   const auto pairs = config_.exact_eigen
                          ? jacobi_eigen(b_mat)
                          : top_eigenpairs(b_mat, 2, rng);
-  if (pairs.size() < 2 || pairs[0].value <= 0.0 || pairs[1].value <= 0.0) {
-    result.seconds = watch.seconds();
+  if (pairs.size() < 2 || pairs[0].value <= 0.0 || pairs[1].value <= 0.0)
     return result;
-  }
 
   std::vector<Vec2> relative(m);
   const double s0 = std::sqrt(pairs[0].value);
@@ -89,7 +82,6 @@ LocalizationResult MdsMapLocalizer::localize(const Scenario& scenario,
   if (src.size() < 3) {
     // Under 3 anchors the similarity transform is under-determined (the
     // reflection cannot be resolved); report nothing rather than a mirror.
-    result.seconds = watch.seconds();
     return result;
   }
   const Transform2 tf = fit_procrustes(src, dst, /*allow_scale=*/true);
@@ -110,7 +102,6 @@ LocalizationResult MdsMapLocalizer::localize(const Scenario& scenario,
   result.comm.messages_received = result.comm.messages_sent;
   result.iterations = 1;
   result.converged = true;
-  result.seconds = watch.seconds();
   return result;
 }
 

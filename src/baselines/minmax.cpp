@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "support/timer.hpp"
-
 namespace bnloc {
 
 LocalizationResult MinMaxLocalizer::localize(const Scenario& scenario,
                                              Rng& /*rng*/) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
 
   for (std::size_t i = 0; i < scenario.node_count(); ++i) {
@@ -38,7 +35,6 @@ LocalizationResult MinMaxLocalizer::localize(const Scenario& scenario,
   }
   result.iterations = 1;
   result.converged = true;
-  result.seconds = watch.seconds();
   return result;
 }
 

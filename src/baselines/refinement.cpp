@@ -6,13 +6,11 @@
 #include "baselines/dvhop.hpp"
 #include "baselines/minmax.hpp"
 #include "obs/telemetry.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
 LocalizationResult MultilaterationLocalizer::localize(
     const Scenario& scenario, Rng& /*rng*/) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
   for (std::size_t i = 0; i < scenario.node_count(); ++i) {
     if (scenario.is_anchor[i]) continue;
@@ -33,13 +31,11 @@ LocalizationResult MultilaterationLocalizer::localize(
   result.comm.bytes_sent = scenario.anchor_count() * 8;
   result.iterations = 1;
   result.converged = true;
-  result.seconds = watch.seconds();
   return result;
 }
 
 LocalizationResult RefinementLocalizer::localize(const Scenario& scenario,
                                                  Rng& rng) const {
-  const Stopwatch watch;
   const std::size_t n = scenario.node_count();
   LocalizationResult result = make_result_skeleton(scenario);
 
@@ -164,7 +160,6 @@ LocalizationResult RefinementLocalizer::localize(const Scenario& scenario,
   for (std::size_t i = 0; i < n; ++i)
     if (!scenario.is_anchor[i]) result.estimates[i] = estimate[i];
   result.iterations = iter;
-  result.seconds = watch.seconds();
   return result;
 }
 

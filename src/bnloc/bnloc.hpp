@@ -59,7 +59,6 @@
 #include "radio/connectivity.hpp"
 #include "radio/ranging.hpp"
 #include "radio/rssi.hpp"
-#include "serve/arena.hpp"
 #include "serve/json_io.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"

@@ -10,7 +10,6 @@
 #include "net/transport.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
@@ -36,7 +35,6 @@ GaussianBncl::GaussianBncl(GaussianBnclConfig config) : config_(config) {
 
 LocalizationResult GaussianBncl::localize(const Scenario& scenario,
                                           Rng& rng) const {
-  const Stopwatch watch;
   const std::size_t n = scenario.node_count();
   LocalizationResult result = make_result_skeleton(scenario);
   const bool tracing = obs::trace_active();
@@ -212,7 +210,6 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   result.iterations = iter;
   result.comm = transport.stats();
   result.transport_hash = transport.hash();
-  result.seconds = watch.seconds();
   return result;
 }
 

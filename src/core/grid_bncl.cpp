@@ -16,7 +16,6 @@
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
@@ -70,7 +69,7 @@ constexpr double kRoiPeakFraction = 1e-6;
 /// coverage the receiver sees stays well above the informative gate), and
 /// the wave's cost shrinks proportionally. Converged beliefs sparsify far
 /// below the cap, so steady-state traffic and accuracy are untouched.
-/// Single-level runs keep the configured cap — bit-identical behavior.
+/// Single-level runs keep kMaxSupportCells — bit-identical behavior.
 constexpr std::size_t kPyramidPublishCap = 64;
 
 /// Two-hop non-link factors per node (negative evidence).
@@ -87,7 +86,7 @@ static_assert(kPyramidRoiMargin >= 0, "ROI margin cannot be negative");
 /// Additive floor per message (messages peak at 1).
 constexpr double kMessageFloor = 1e-4;
 
-/// A belief is worth broadcasting once its top `max_support_cells` cells
+/// A belief is worth broadcasting once its top `kMaxSupportCells` cells
 /// cover this much mass. 0.5 admits ring-shaped beliefs (one-anchor nodes)
 /// — essential for bootstrap when priors are uniform — while still
 /// silencing near-uniform beliefs.
@@ -315,8 +314,8 @@ GridRun::GridRun(const GridBnclConfig& config, const Scenario& scenario,
       // code path, bit for bit).
       plan_(PyramidPlan::make(config.grid_side, config.pyramid_levels)),
       pub_cap_(plan_.levels() > 1
-                   ? std::min(config.max_support_cells, kPyramidPublishCap)
-                   : config.max_support_cells),
+                   ? std::min(GridBncl::kMaxSupportCells, kPyramidPublishCap)
+                   : GridBncl::kMaxSupportCells),
       link_off_(n_ + 1, 0),
       transport_(scenario, config.transport, config.robustness.stale_ttl,
                  rng.split(0x5ad10)),
@@ -670,7 +669,7 @@ void GridRun::decide_publish(std::size_t u,
                                                           last_pub_->view(u))
                           : 1.0);
   }
-  beliefops::sparsify_in(belief_->view(u), config_.support_mass, pub_cap_,
+  beliefops::sparsify_in(belief_->view(u), GridBncl::kSupportMass, pub_cap_,
                          pub_candidate_[u], order);
   const bool informative =
       roles_.acts_anchor(u) ||
@@ -969,9 +968,8 @@ bool GridRun::close_round(LocalizationResult& result,
   // residual is folded serially in node order above, so the observed value
   // — hence the bucket — is identical at any thread count.
   obs::observe_scaled("grid.round.residual", mean_change, 1e9);
-  if (config_.observer || tracing_) emit_estimates(result);
-  if (config_.observer) config_.observer(iter_ + 1, result.estimates);
   if (tracing_) {
+    emit_estimates(result);
     obs::RobustActivity robust;
     robust.anchors_demoted = roles_.demoted();
     robust.quorum_held = total.quorum_held;
@@ -1028,7 +1026,6 @@ void GridRun::finish(LocalizationResult& result) {
 
 LocalizationResult GridBncl::localize(const Scenario& scenario,
                                       Rng& rng) const {
-  const Stopwatch watch;
   LocalizationResult result = make_result_skeleton(scenario);
   if (obs::trace_active()) obs::trace_begin(name());
   obs::count("grid.runs");
@@ -1051,7 +1048,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     run.count_state_bytes();
   }
   run.finish(result);
-  result.seconds = watch.seconds();
   return result;
 }
 

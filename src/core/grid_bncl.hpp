@@ -23,9 +23,6 @@
 //    transport (net/transport.hpp; optionally lossy).
 #pragma once
 
-#include <functional>
-#include <optional>
-#include <span>
 #include <string>
 
 #include "core/engine_config.hpp"
@@ -65,8 +62,6 @@ struct GridBnclConfig {
   /// individual beliefs settle).
   IterationConfig iteration{.max_iterations = 24, .convergence_tol = 0.01};
   double damping = 0.3;             ///< linear belief damping in [0, 1).
-  double support_mass = 0.995;      ///< belief mass a broadcast targets.
-  std::size_t max_support_cells = 192;  ///< payload cap per broadcast.
   /// Fold in two-hop non-links ("j cannot hear k, so k is probably outside
   /// j's range"). In a Bayesian network over the deployment, the *absence*
   /// of an edge is evidence too; it prunes mirror-image ghost modes and is
@@ -155,11 +150,6 @@ struct GridBnclConfig {
   /// concurrency.
   std::size_t threads = 1;
 
-  /// Optional per-iteration hook (estimates indexed by node; anchors too).
-  std::function<void(std::size_t iteration,
-                     std::span<const std::optional<Vec2>> estimates)>
-      observer;
-
   /// Empty when GridBncl accepts this config, else the reason (a nested
   /// block's reason is prefixed with the block: `sched.`, `robustness.`,
   /// `transport.`).
@@ -168,6 +158,11 @@ struct GridBnclConfig {
 
 class GridBncl final : public Localizer {
  public:
+  /// Sparse-summary payload budget: a broadcast carries the top cells of
+  /// its belief up to this much mass, at most kMaxSupportCells of them.
+  static constexpr double kSupportMass = 0.995;
+  static constexpr std::size_t kMaxSupportCells = 192;
+
   explicit GridBncl(GridBnclConfig config = {});
 
   [[nodiscard]] std::string name() const override;

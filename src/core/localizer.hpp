@@ -26,7 +26,6 @@ struct LocalizationResult {
   CommStats comm;
   std::size_t iterations = 0;
   bool converged = false;
-  double seconds = 0.0;
   /// AsyncRadio event-history digest (net/async_radio.hpp): two runs of the
   /// same seeded configuration replayed the same transport history iff the
   /// hashes match, at any thread count. 0 under the synchronous transport.

@@ -9,7 +9,6 @@
 #include "net/transport.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace bnloc {
 
@@ -57,7 +56,6 @@ ParticleBncl::ParticleBncl(ParticleBnclConfig config) : config_(config) {
 
 LocalizationResult ParticleBncl::localize(const Scenario& scenario,
                                           Rng& rng) const {
-  const Stopwatch watch;
   const std::size_t n = scenario.node_count();
   const std::size_t k_particles = config_.particle_count;
   LocalizationResult result = make_result_skeleton(scenario);
@@ -261,7 +259,6 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
   result.iterations = iter;
   result.comm = transport.stats();
   result.transport_hash = transport.hash();
-  result.seconds = watch.seconds();
   return result;
 }
 

@@ -27,7 +27,7 @@ struct AggregateRow {
   double msgs_per_node = 0.0;
   double bytes_per_node = 0.0;
   double iterations = 0.0;
-  double seconds = 0.0;         ///< mean in-algorithm wall time per trial.
+  double seconds = 0.0;         ///< mean localize() wall time per trial.
   /// Harness wall-clock for the whole trial batch. Unlike `seconds` (which
   /// sums per-trial solver time and is thread-count-invariant up to OS
   /// scheduling noise), this shrinks with RunOptions::threads — it is the

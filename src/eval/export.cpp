@@ -2,14 +2,14 @@
 
 #include <cmath>
 
+#include "obs/json.hpp"
 #include "support/table.hpp"
 
 namespace bnloc {
 
 bool export_positions_csv(const std::string& path, const Scenario& scenario,
                           const LocalizationResult& result) {
-  CsvWriter csv(path);
-  if (!csv.ok()) return false;
+  CsvWriter csv;
   csv.write_row({"node", "role", "true_x", "true_y", "est_x", "est_y",
                  "error", "error_over_range", "sigma"});
   for (std::size_t i = 0; i < scenario.node_count(); ++i) {
@@ -35,12 +35,11 @@ bool export_positions_csv(const std::string& path, const Scenario& scenario,
     }
     csv.write_row(row);
   }
-  return true;
+  return obs::write_text_file(path, csv.str());
 }
 
 bool export_links_csv(const std::string& path, const Scenario& scenario) {
-  CsvWriter csv(path);
-  if (!csv.ok()) return false;
+  CsvWriter csv;
   csv.write_row({"u", "v", "true_distance", "measured_distance"});
   for (std::size_t u = 0; u < scenario.node_count(); ++u) {
     for (const Neighbor& nb : scenario.graph.neighbors(u)) {
@@ -52,13 +51,12 @@ bool export_links_csv(const std::string& path, const Scenario& scenario) {
                      AsciiTable::fmt(nb.weight, 6)});
     }
   }
-  return true;
+  return obs::write_text_file(path, csv.str());
 }
 
 bool export_aggregate_csv(const std::string& path,
                           const std::vector<AggregateRow>& rows) {
-  CsvWriter csv(path);
-  if (!csv.ok()) return false;
+  CsvWriter csv;
   csv.write_row({"algorithm", "trials", "mean", "median", "rmse", "q90",
                  "coverage", "penalized_mean", "msgs_per_node",
                  "bytes_per_node", "iterations", "seconds", "wall_seconds"});
@@ -76,7 +74,7 @@ bool export_aggregate_csv(const std::string& path,
                    AsciiTable::fmt(r.seconds, 5),
                    AsciiTable::fmt(r.wall_seconds, 5)});
   }
-  return true;
+  return obs::write_text_file(path, csv.str());
 }
 
 }  // namespace bnloc

@@ -11,7 +11,8 @@
 namespace bnloc {
 
 /// One row per node: id, role, true position, estimate (if any), error,
-/// reported sigma (if any). Returns false when the file cannot be opened.
+/// reported sigma (if any). Each exporter returns false when the file
+/// cannot be opened, written or closed.
 bool export_positions_csv(const std::string& path, const Scenario& scenario,
                           const LocalizationResult& result);
 

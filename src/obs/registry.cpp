@@ -17,7 +17,7 @@ const char* to_string(MetricKind kind) noexcept {
 }
 
 Registry::Slot& Registry::slot(std::string_view name, MetricKind kind) {
-  const auto it = index_.find(std::string(name));
+  const auto it = index_.find(name);
   if (it != index_.end()) {
     Slot& s = slots_[it->second];
     BNLOC_ASSERT(s.kind == kind, "metric re-registered with a different kind");
@@ -32,7 +32,7 @@ Registry::Slot& Registry::slot(std::string_view name, MetricKind kind) {
 }
 
 const Registry::Slot* Registry::find(std::string_view name) const {
-  const auto it = index_.find(std::string(name));
+  const auto it = index_.find(name);
   return it == index_.end() ? nullptr : &slots_[it->second];
 }
 

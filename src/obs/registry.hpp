@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -106,10 +107,19 @@ class Registry {
   Slot& slot(std::string_view name, MetricKind kind);
   [[nodiscard]] const Slot* find(std::string_view name) const;
 
+  /// Transparent: lookups hash the caller's view, building no key string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   mutable std::mutex mutex_;
   std::vector<std::string> names_;  ///< slot id -> name, insertion order.
   std::vector<Slot> slots_;
-  std::unordered_map<std::string, std::size_t> index_;
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace bnloc::obs

@@ -548,7 +548,7 @@ std::string serve_response_json(const ServeResponse& response) {
     std::snprintf(hash, sizeof hash, "%016llx",
                   static_cast<unsigned long long>(response.result.transport_hash));
     w.kv("transport_hash", hash);
-    w.kv("solver_seconds", response.result.seconds);
+    w.kv("solver_seconds", response.solver_seconds);
   }
   w.kv("serve_seconds", response.seconds);
   w.end_object();

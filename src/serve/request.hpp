@@ -7,7 +7,7 @@
 // their truth) and the service-side latency.
 //
 // Determinism contract: a request's response payload (everything except
-// the wall-clock fields `seconds`/`result.seconds`) is a pure function of
+// the wall-clock fields `seconds`/`solver_seconds`) is a pure function of
 // the request — bit-identical whether it runs alone or inside any batch,
 // at any service thread count. See docs/SERVICE.md "Isolation and
 // determinism".
@@ -63,6 +63,10 @@ struct ServeResponse {
   /// Ground-truth score (ServeConfig::evaluate, on by default — simulated
   /// batches carry their truth; a deployment without truth turns it off).
   ErrorReport report;
+  /// Wall time of the engine's localize() call alone (0 when the request
+  /// failed before the engine ran). Wall-clock: outside the determinism
+  /// contract.
+  double solver_seconds = 0.0;
   /// Service-side wall latency of this request (build + solve + score).
   /// Wall-clock: outside the determinism contract.
   double seconds = 0.0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <exception>
-#include <optional>
 #include <utility>
 
 #include "deploy/scenario.hpp"
@@ -25,6 +24,11 @@ std::size_t result_footprint(const ServeResponse& response) {
          r.covariances.capacity() * sizeof(r.covariances[0]) +
          r.change_per_iteration.capacity() * sizeof(double) +
          response.report.errors.capacity() * sizeof(double);
+}
+
+/// The per-tenant request-latency histogram in metrics().
+std::string tenant_latency_name(const std::string& tenant) {
+  return obs::labeled("serve.latency_ns", {{"tenant", tenant}});
 }
 
 }  // namespace
@@ -74,7 +78,9 @@ ServeResponse BatchService::serve_one(const ServeRequest& raw) const {
     const std::unique_ptr<Localizer> localizer = make_localizer(request);
     response.engine = localizer->name();
     Rng rng = make_algo_rng(localizer->name(), request.algo_seed);
+    const Stopwatch solve_watch;
     response.result = localizer->localize(scenario, rng);
+    response.solver_seconds = solve_watch.seconds();
     for (std::size_t node = 0; node < scenario.node_count(); ++node) {
       if (!scenario.is_anchor[node] && response.result.estimates[node])
         ++response.localized;
@@ -101,31 +107,20 @@ std::vector<ServeResponse> BatchService::run_batch(
   last_.requests = n;
   last_.latencies.resize(n, 0.0);
 
-  // Tenant bookkeeping is mutated serially, before the fan-out: arenas
-  // reset (keeping their chunks — steady-state batches allocate nothing
-  // new), and every tenant in this batch gets its slot up front so workers
-  // never touch the map.
-  for (auto& [name, tenant] : tenants_) {
-    (void)name;
-    tenant->arena.reset();
-    tenant->batch_result_bytes = 0;
-  }
-  for (const ServeRequest& request : requests) {
-    if (!tenants_.contains(request.tenant)) {
-      tenants_.emplace(request.tenant, std::make_unique<Tenant>(
-                                           config_.arena_chunk_kb * 1024));
-    }
-  }
+  // Tenant bookkeeping is mutated serially, before the fan-out: every
+  // tenant in this batch gets its slot up front so workers never touch the
+  // map, and the previous batch's lines are released.
+  for (auto& entry : tenants_) entry.second.batch_result_bytes = 0;
+  for (const ServeRequest& request : requests)
+    tenants_.try_emplace(request.tenant);
+  lines_.assign(n, std::string());
 
   std::vector<ServeResponse> responses(n);
-  // deque: Telemetry holds mutexes (immovable); resize constructs in place.
-  std::deque<obs::Telemetry> telemetries;
-  if (config_.collect_metrics) {
-    telemetries.resize(n);
-    for (obs::Telemetry& t : telemetries) {
-      t.trace_enabled = false;
-      t.spans_enabled = config_.collect_spans;
-    }
+  // deque: Telemetry holds mutexes (immovable); each is built in place.
+  std::deque<obs::Telemetry> telemetries(n);
+  for (obs::Telemetry& t : telemetries) {
+    t.trace_enabled = false;
+    t.spans_enabled = config_.collect_spans;
   }
 
   // In-order prefix streaming: whichever worker completes request i marks
@@ -137,36 +132,28 @@ std::vector<ServeResponse> BatchService::run_batch(
   std::mutex emit_mutex;
 
   const auto emit = [&](std::size_t i) {  // caller holds emit_mutex.
-    ServeResponse& response = responses[i];
-    Tenant& tenant = *tenants_.at(response.tenant);
-    const std::string_view line =
-        tenant.arena.store(serve_response_json(response));
+    const ServeResponse& response = responses[i];
+    Tenant& tenant = tenants_.at(response.tenant);
     tenant.stats.requests += 1;
     if (!response.ok) {
       tenant.stats.failed += 1;
       last_.failed += 1;
     }
     tenant.stats.total_seconds += response.seconds;
-    // Latency histograms (tenant-local and labeled registry family). The
-    // emitter runs serially in request order under the emit lock, so the
-    // observation order — though not the wall-clock values — is
-    // deterministic at any thread count.
+    // Latency histograms (bare and per-tenant labeled; tenants() reads its
+    // percentiles from the labeled one). The emitter runs serially in
+    // request order under the emit lock, so the observation order — though
+    // not the wall-clock values — is deterministic at any thread count.
     const double lat_ns_f = response.seconds * 1e9;
     const std::uint64_t lat_ns =
         lat_ns_f <= 0.0 ? 0
                         : static_cast<std::uint64_t>(std::llround(lat_ns_f));
-    tenant.latency_ns.observe(lat_ns);
     metrics_.observe("serve.latency_ns", lat_ns);
-    metrics_.observe(
-        obs::labeled("serve.latency_ns", {{"tenant", response.tenant}}),
-        lat_ns);
-    tenant.batch_result_bytes += result_footprint(response);
+    metrics_.observe(tenant_latency_name(response.tenant), lat_ns);
+    tenant.batch_result_bytes += result_footprint(response) + lines_[i].size();
     tenant.stats.result_bytes_peak =
         std::max(tenant.stats.result_bytes_peak, tenant.batch_result_bytes);
-    tenant.stats.arena_high_water =
-        std::max(tenant.stats.arena_high_water, tenant.arena.stats().high_water);
-    tenant.stats.arena_bytes_reserved = tenant.arena.stats().bytes_reserved;
-    if (sink) sink(response, line);
+    if (sink) sink(response, lines_[i]);
   };
 
   Stopwatch wall;
@@ -174,11 +161,12 @@ std::vector<ServeResponse> BatchService::run_batch(
     // Pool tasks must not throw; serve_one catches per-request failures
     // into ok=false responses, so nothing escapes here.
     {
-      std::optional<obs::TelemetryScope> scope;
-      if (config_.collect_metrics) scope.emplace(&telemetries[i]);
+      const obs::TelemetryScope scope(&telemetries[i]);
       const obs::Span request_span("serve.request");
       responses[i] = serve_one(requests[i]);
     }
+    // Serialize outside the emit lock; the lock below publishes the slot.
+    lines_[i] = serve_response_json(responses[i]);
     last_.latencies[i] = responses[i].seconds;
 
     std::lock_guard<std::mutex> lock(emit_mutex);
@@ -217,14 +205,16 @@ std::vector<TenantStats> BatchService::tenants() const {
   std::vector<TenantStats> out;
   out.reserve(tenants_.size());
   for (const auto& [name, tenant] : tenants_) {
-    TenantStats stats = tenant->stats;
+    TenantStats stats = tenant.stats;
     stats.tenant = name;
-    stats.latency_p50 =
-        static_cast<double>(tenant->latency_ns.quantile(0.50)) * 1e-9;
-    stats.latency_p95 =
-        static_cast<double>(tenant->latency_ns.quantile(0.95)) * 1e-9;
-    stats.latency_p99 =
-        static_cast<double>(tenant->latency_ns.quantile(0.99)) * 1e-9;
+    const std::string latency = tenant_latency_name(name);
+    const auto seconds = [&](double q) {
+      return static_cast<double>(metrics_.histogram_quantile(latency, q)) *
+             1e-9;
+    };
+    stats.latency_p50 = seconds(0.50);
+    stats.latency_p95 = seconds(0.95);
+    stats.latency_p99 = seconds(0.99);
     out.push_back(std::move(stats));
   }
   return out;

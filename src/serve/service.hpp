@@ -19,25 +19,23 @@
 //    on. Both are sanitization of *execution* knobs — semantic engine
 //    config is honored verbatim.
 //  * Tenant accounting: per-tenant request/failure counts, summed service
-//    latency, and the arena high-water that is the "memory per tenant"
-//    number. Response JSON lines live in the owning tenant's arena until
-//    the next batch starts.
+//    latency, and the peak bytes of results and response lines held within
+//    one batch — the "memory per tenant" number. Latency percentiles are
+//    read from the registry's `serve.latency_ns{tenant="…"}` histograms.
+//    A batch's response JSON lines live until the next batch starts.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "inference/kernel_cache.hpp"
-#include "obs/histogram.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "serve/arena.hpp"
 #include "serve/json_io.hpp"
 #include "serve/request.hpp"
 #include "support/thread_pool.hpp"
@@ -61,18 +59,12 @@ struct ServeConfig {
   /// Score results against the scenario's ground truth (simulated batches
   /// carry their truth; turn off when serving measurement-only workloads).
   bool evaluate = true;
-  /// Fold each request's telemetry counters into metrics() (request order,
-  /// so the folded registry is deterministic). Costs one registry per
-  /// in-flight request; off leaves engine instrumentation on the null sink.
-  bool collect_metrics = true;
   /// Record hierarchical phase spans (serve request → engine run → pyramid
   /// level → publish/update/commit) into spans(), one track per request.
-  /// Requires collect_metrics; off by default — each span instance
-  /// allocates a record. Results stay bit-identical either way (the spans
-  /// are write-only wall-clock observations).
+  /// Off by default — each span instance allocates a record. Results stay
+  /// bit-identical either way (the spans are write-only wall-clock
+  /// observations).
   bool collect_spans = false;
-  /// Chunk size for the per-tenant arenas.
-  std::size_t arena_chunk_kb = 64;
 };
 
 /// Cumulative per-tenant accounting across every batch this service ran.
@@ -82,23 +74,17 @@ struct TenantStats {
   std::size_t failed = 0;
   /// Summed service-side request latency (wall-clock).
   double total_seconds = 0.0;
-  /// Arena high-water: peak bytes of response payload held for this tenant
-  /// within one batch — the "memory per tenant" metric. Jitters by a few
-  /// bytes across identical batches (response JSON embeds wall-clock
-  /// timings whose formatted length varies); `arena_bytes_reserved` is the
-  /// stable growth signal.
-  std::size_t arena_high_water = 0;
-  /// Summed capacity of the arena's chunks. Steady-state batches reuse the
-  /// reset chunks, so this staying flat across batches means the arena is
-  /// being reused, not grown.
-  std::size_t arena_bytes_reserved = 0;
-  /// Estimated peak per-batch footprint of this tenant's decoded results
-  /// (estimate/covariance vectors; excludes engine-internal scratch).
+  /// Peak per-batch bytes held for this tenant: its decoded results
+  /// (estimate/covariance vectors; excludes engine-internal scratch) plus
+  /// its response JSON lines — the "memory per tenant" metric. Jitters by
+  /// a few bytes across identical batches (the lines embed wall-clock
+  /// timings whose formatted length varies).
   std::size_t result_bytes_peak = 0;
   /// Request-latency percentiles (seconds) over every request this tenant
-  /// ever ran here, read from the tenant's log-bucket latency histogram —
-  /// conservative bucket-upper-edge estimates (≤ 12.5% quantization), the
-  /// currency ROADMAP item 2's admission control will spend.
+  /// ever ran here, read from metrics()'s `serve.latency_ns{tenant="…"}`
+  /// histogram — conservative bucket-upper-edge estimates (≤ 12.5%
+  /// quantization), the currency ROADMAP item 2's admission control will
+  /// spend.
   double latency_p50 = 0.0;
   double latency_p95 = 0.0;
   double latency_p99 = 0.0;
@@ -126,8 +112,8 @@ class BatchService {
   explicit BatchService(ServeConfig config = {});
 
   /// Per-result hook: called once per request, in request order, with the
-  /// decoded response and its JSON line (arena-backed; valid until the
-  /// next run_batch call on this service).
+  /// decoded response and its JSON line (a view of the service's copy;
+  /// valid until the next run_batch call on this service).
   using ResultSink =
       std::function<void(const ServeResponse&, std::string_view json_line)>;
 
@@ -147,9 +133,9 @@ class BatchService {
   [[nodiscard]] const BatchStats& last_batch() const noexcept { return last_; }
   /// Cumulative per-tenant accounting, sorted by tenant id.
   [[nodiscard]] std::vector<TenantStats> tenants() const;
-  /// Folded request telemetry (ServeConfig::collect_metrics): engine
-  /// counters — `grid.kernels.process.hit/miss` among them — plus the
-  /// service's own `serve.*` counters and the per-tenant
+  /// Folded request telemetry (one sink per request, folded in request
+  /// order): engine counters — `grid.kernels.process.hit/miss` among them —
+  /// plus the service's own `serve.*` counters and the per-tenant
   /// `serve.latency_ns{tenant="…"}` histograms. Exposable via
   /// obs::export_prometheus (the bnloc_serve --metrics-out path).
   [[nodiscard]] const obs::Registry& metrics() const noexcept {
@@ -169,13 +155,7 @@ class BatchService {
  private:
   struct Tenant {
     TenantStats stats;
-    Arena arena;
     std::size_t batch_result_bytes = 0;  ///< running footprint this batch.
-    /// Cumulative request latencies in integer nanoseconds; the percentile
-    /// source for TenantStats (exact merge semantics, wall-clock values).
-    obs::LogHistogram latency_ns;
-
-    explicit Tenant(std::size_t chunk_bytes) : arena(chunk_bytes) {}
   };
 
   /// Execution-knob sanitization (never semantic): engine threads to 1,
@@ -184,7 +164,10 @@ class BatchService {
 
   ServeConfig config_;
   mutable ThreadPool pool_;
-  std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+  std::map<std::string, Tenant> tenants_;
+  /// The current batch's response JSON lines, in request order; each
+  /// worker writes its own slot, the emitter hands the sink a view of it.
+  std::vector<std::string> lines_;
   BatchStats last_;
   obs::Registry metrics_;
   obs::SpanStore spans_;

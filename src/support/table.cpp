@@ -67,29 +67,17 @@ std::string AsciiTable::to_string() const {
 
 void AsciiTable::print(std::ostream& os) const { os << to_string(); }
 
-CsvWriter::CsvWriter(std::string path) {
-  auto* f = std::fopen(path.c_str(), "w");
-  file_ = f;
-  ok_ = f != nullptr;
-}
-
-CsvWriter::~CsvWriter() {
-  if (ok_) std::fclose(static_cast<std::FILE*>(file_));
-}
-
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  if (!ok_) return;
-  auto* f = static_cast<std::FILE*>(file_);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) std::fputc(',', f);
+    if (i) out_ += ',';
     // Quote cells containing separators; the data bnloc emits is numeric or
     // simple labels, so full RFC 4180 escaping is not needed.
     const bool quote = cells[i].find_first_of(",\"\n") != std::string::npos;
-    if (quote) std::fputc('"', f);
-    std::fputs(cells[i].c_str(), f);
-    if (quote) std::fputc('"', f);
+    if (quote) out_ += '"';
+    out_ += cells[i];
+    if (quote) out_ += '"';
   }
-  std::fputc('\n', f);
+  out_ += '\n';
 }
 
 void CsvWriter::write_row(const std::string& label,

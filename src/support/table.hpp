@@ -2,7 +2,7 @@
 //
 // Every bench binary prints the rows/series a paper table or figure would
 // contain; AsciiTable keeps those reports aligned and diffable, CsvWriter
-// feeds external plotting.
+// builds the CSV text that feeds external plotting.
 #pragma once
 
 #include <cstddef>
@@ -33,21 +33,17 @@ class AsciiTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Builds CSV text in memory; the caller writes str() out (and so owns
+/// the report of a failed write).
 class CsvWriter {
  public:
-  explicit CsvWriter(std::string path);
-  ~CsvWriter();
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
   void write_row(const std::vector<std::string>& cells);
   void write_row(const std::string& label,
                  const std::vector<double>& values);
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] const std::string& str() const noexcept { return out_; }
 
  private:
-  void* file_;  // FILE*, kept opaque to avoid <cstdio> in the header.
-  bool ok_ = false;
+  std::string out_;
 };
 
 }  // namespace bnloc

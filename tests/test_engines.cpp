@@ -144,25 +144,6 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite, ::testing::Values(0, 1, 2),
                            }
                          });
 
-TEST(GridBncl, ObserverSeesEveryIteration) {
-  const Scenario s = build_scenario(default_config(31));
-  GridBnclConfig cfg;
-  cfg.iteration.max_iterations = 6;
-  cfg.iteration.convergence_tol = 0.0;  // run all iterations
-  std::size_t calls = 0;
-  cfg.observer = [&](std::size_t iter,
-                     std::span<const std::optional<Vec2>> est) {
-    ++calls;
-    EXPECT_EQ(iter, calls);
-    EXPECT_EQ(est.size(), s.node_count());
-  };
-  const GridBncl engine(cfg);
-  Rng rng(1);
-  const auto r = engine.localize(s, rng);
-  EXPECT_EQ(calls, r.iterations);
-  EXPECT_EQ(calls, 6u);
-}
-
 TEST(GridBncl, ChangeTraceShrinks) {
   const Scenario s = build_scenario(default_config(32));
   const GridBncl engine;

@@ -29,6 +29,15 @@ TEST(Experiment, AggregatesAcrossTrials) {
   EXPECT_GT(row.msgs_per_node, 0.0);
 }
 
+TEST(Experiment, SecondsTimeTheLocalizeCallPerTrial) {
+  // The harness times each algo.localize() itself: a positive mean that
+  // never exceeds the wall time of the whole trial batch.
+  const GridBncl algo;
+  const AggregateRow row = run_algorithm(algo, small_config(), 2, RunOptions{});
+  EXPECT_GT(row.seconds, 0.0);
+  EXPECT_LE(row.seconds, row.wall_seconds);
+}
+
 TEST(Experiment, DeterministicAcrossRuns) {
   const CentroidLocalizer algo;
   const AggregateRow a = run_algorithm(algo, small_config(), 3);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -115,6 +116,13 @@ TEST(Export, BadPathsReturnFalse) {
   EXPECT_FALSE(export_positions_csv("/no-such-dir-xyz/a.csv", s, skeleton));
   EXPECT_FALSE(export_links_csv("/no-such-dir-xyz/b.csv", s));
   EXPECT_FALSE(export_aggregate_csv("/no-such-dir-xyz/c.csv", {}));
+
+  // A full device accepts the open and the buffered write and fails at the
+  // flush on close.
+  if (!std::filesystem::exists("/dev/full")) return;
+  EXPECT_FALSE(export_positions_csv("/dev/full", s, skeleton));
+  EXPECT_FALSE(export_links_csv("/dev/full", s));
+  EXPECT_FALSE(export_aggregate_csv("/dev/full", {}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // bnloc-serve (serve/): JSON schema round-trips, the solo-vs-batch
 // determinism contract, in-order streaming, cross-tenant kernel sharing,
-// and per-tenant arena accounting. docs/SERVICE.md is the contract these
-// tests pin down.
+// and per-tenant accounting. docs/SERVICE.md is the contract these tests
+// pin down.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/prometheus.hpp"
-#include "serve/arena.hpp"
 #include "serve/json_io.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
@@ -538,7 +537,7 @@ TEST(BatchService, KernelBudgetTrimsTheRegistryBetweenBatches) {
   expect_payload_identical(first[0], second[0]);
 }
 
-// --- Tenant accounting and arenas -------------------------------------------
+// --- Tenant accounting ------------------------------------------------------
 
 TEST(BatchService, TenantStatsAccumulateAcrossBatches) {
   BatchService service(ServeConfig{.threads = 2});
@@ -552,8 +551,108 @@ TEST(BatchService, TenantStatsAccumulateAcrossBatches) {
   EXPECT_EQ(tenants[0].requests, 3u);
   EXPECT_EQ(tenants[1].tenant, "y");
   EXPECT_EQ(tenants[1].requests, 1u);
-  EXPECT_GT(tenants[0].arena_high_water, 0u);
   EXPECT_GT(tenants[0].result_bytes_peak, 0u);
+}
+
+TEST(BatchService, ResultBytesPeakCountsEachResponseLine) {
+  // A request that fails validation holds no result vectors, so its
+  // footprint is exactly its response line; the tenant's figure is the
+  // largest per-batch sum of those lines.
+  const auto failing = [](const std::string& id) {
+    ServeRequest bad = tiny_request("t", id, 1);
+    bad.scenario.node_count = 1;  // validate(): nodes must be >= 2
+    return bad;
+  };
+  BatchService service(ServeConfig{.threads = 2});
+  std::size_t batch_bytes = 0;
+  const BatchService::ResultSink add_line =
+      [&](const ServeResponse& response, std::string_view line) {
+        EXPECT_FALSE(response.ok);
+        batch_bytes += line.size();
+      };
+
+  (void)service.run_batch({failing("one")}, add_line);
+  const std::size_t single = batch_bytes;
+  EXPECT_EQ(service.tenants().at(0).result_bytes_peak, single);
+
+  batch_bytes = 0;
+  (void)service.run_batch({failing("two-a"), failing("two-b")}, add_line);
+  const std::size_t pair = batch_bytes;
+  ASSERT_GT(pair, single);
+  EXPECT_EQ(service.tenants().at(0).result_bytes_peak, pair);
+
+  batch_bytes = 0;
+  (void)service.run_batch({failing("three")}, add_line);
+  EXPECT_LT(batch_bytes, pair);
+  EXPECT_EQ(service.tenants().at(0).result_bytes_peak, pair);  // a peak
+  EXPECT_EQ(service.tenants().at(0).failed, 4u);
+}
+
+TEST(BatchService, SinkLinesStayValidUntilTheNextBatch) {
+  // The sink receives views of the service's own copy of each line; they
+  // outlive the sink call and the run_batch return.
+  std::vector<ServeRequest> batch;
+  for (std::size_t i = 0; i < 6; ++i)
+    batch.push_back(tiny_request("t" + std::to_string(i % 3),
+                                 "r" + std::to_string(i), 60 + i));
+  BatchService service(ServeConfig{.threads = 3});
+  std::vector<std::string_view> views;
+  const auto responses = service.run_batch(
+      batch, [&](const ServeResponse&, std::string_view line) {
+        views.push_back(line);
+      });
+  ASSERT_EQ(views.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(views[i], serve_response_json(responses[i])) << i;
+}
+
+TEST(BatchService, TenantPercentilesReadTheRegistry) {
+  std::vector<ServeRequest> batch;
+  for (std::size_t i = 0; i < 8; ++i)
+    batch.push_back(tiny_request(i % 4 == 0 ? "rare" : "busy",
+                                 "r" + std::to_string(i), 20 + i));
+  BatchService service(ServeConfig{.threads = 2});
+  (void)service.run_batch(batch);
+  (void)service.run_batch({tiny_request("rare", "late", 40)});
+
+  const auto tenants = service.tenants();
+  ASSERT_EQ(tenants.size(), 2u);
+  for (const TenantStats& stats : tenants) {
+    SCOPED_TRACE(stats.tenant);
+    const std::string name =
+        obs::labeled("serve.latency_ns", {{"tenant", stats.tenant}});
+    EXPECT_EQ(service.metrics().histogram_count(name), stats.requests);
+    const auto seconds = [&](double q) {
+      return static_cast<double>(
+                 service.metrics().histogram_quantile(name, q)) *
+             1e-9;
+    };
+    EXPECT_EQ(stats.latency_p50, seconds(0.50));
+    EXPECT_EQ(stats.latency_p95, seconds(0.95));
+    EXPECT_EQ(stats.latency_p99, seconds(0.99));
+    EXPECT_GT(stats.latency_p50, 0.0);
+  }
+  EXPECT_EQ(tenants[0].tenant, "busy");
+  EXPECT_EQ(tenants[0].requests, 6u);
+  EXPECT_EQ(tenants[1].requests, 3u);
+}
+
+TEST(BatchService, SolverSecondsTimeTheEngineCallAlone) {
+  BatchService service(ServeConfig{.threads = 1});
+  const ServeResponse ok = service.serve_one(tiny_request("t", "ok", 9));
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_GT(ok.solver_seconds, 0.0);
+  EXPECT_LE(ok.solver_seconds, ok.seconds);  // build + solve + score
+  JsonValue v;
+  ASSERT_TRUE(parse_json(serve_response_json(ok), v, nullptr));
+  ASSERT_NE(v.find("solver_seconds"), nullptr);
+  EXPECT_EQ(v.find("solver_seconds")->num, ok.solver_seconds);
+
+  ServeRequest bad = tiny_request("t", "bad", 9);
+  bad.scenario.node_count = 1;  // rejected before the engine runs
+  const ServeResponse failed = service.serve_one(bad);
+  ASSERT_FALSE(failed.ok);
+  EXPECT_EQ(failed.solver_seconds, 0.0);
 }
 
 TEST(BatchService, TenantLatencyPercentilesWithoutPayloadChange) {
@@ -602,47 +701,6 @@ TEST(BatchService, TenantLatencyPercentilesWithoutPayloadChange) {
       ++roots;
     }
   EXPECT_EQ(roots, batch.size());
-}
-
-TEST(BatchService, ArenasAreReusedAcrossBatchesNotGrown)  {
-  BatchService service(ServeConfig{.threads = 1});
-  const std::vector<ServeRequest> batch = {tiny_request("t", "r0", 1),
-                                           tiny_request("t", "r1", 2)};
-  (void)service.run_batch(batch);
-  const auto after_first = service.tenants().at(0);
-  (void)service.run_batch(batch);  // identical load: no new chunks needed
-  const auto after_second = service.tenants().at(0);
-  // Reserved capacity is the growth signal; high_water jitters by a few
-  // bytes across identical batches because the stored response JSON embeds
-  // wall-clock timings of varying formatted length.
-  EXPECT_GT(after_first.arena_high_water, 0u);
-  EXPECT_EQ(after_second.arena_bytes_reserved, after_first.arena_bytes_reserved);
-  EXPECT_EQ(after_second.requests, 4u);
-}
-
-TEST(ServeArena, StoreResetReuseAndHighWater) {
-  Arena arena(256);
-  const std::string_view a = arena.store("hello");
-  const std::string_view b = arena.store("world");
-  EXPECT_EQ(a, "hello");
-  EXPECT_EQ(b, "world");
-  const Arena::Stats first = arena.stats();
-  EXPECT_GE(first.bytes_used, 10u);
-  EXPECT_EQ(first.high_water, first.bytes_used);
-  EXPECT_GE(first.chunks, 1u);
-
-  arena.reset();
-  EXPECT_EQ(arena.stats().bytes_used, 0u);
-  EXPECT_EQ(arena.stats().bytes_reserved, first.bytes_reserved);  // kept
-  const std::string_view c = arena.store("hello");
-  EXPECT_EQ(c, "hello");
-  EXPECT_EQ(c.data(), a.data());  // same storage reused
-  EXPECT_EQ(arena.stats().high_water, first.high_water);
-
-  // An allocation bigger than the chunk size gets its own chunk.
-  const std::string big(1024, 'x');
-  EXPECT_EQ(arena.store(big), big);
-  EXPECT_GT(arena.stats().bytes_reserved, first.bytes_reserved);
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace bnloc {
@@ -53,26 +51,15 @@ TEST(AsciiTable, PrintWritesToStream) {
 }
 
 TEST(CsvWriter, WritesRowsAndQuotes) {
-  const std::string path = ::testing::TempDir() + "/bnloc_csv_test.csv";
-  {
-    CsvWriter csv(path);
-    ASSERT_TRUE(csv.ok());
-    csv.write_row({"a", "b,c", "d\"e"});
-    csv.write_row("row", {1.5, 2.5});
-  }
-  std::ifstream in(path);
+  CsvWriter csv;
+  csv.write_row({"a", "b,c", "d\"e"});
+  csv.write_row("row", {1.5, 2.5});
+  std::istringstream in(csv.str());
   std::string line1, line2;
   std::getline(in, line1);
   std::getline(in, line2);
   EXPECT_EQ(line1, "a,\"b,c\",\"d\"e\"");
   EXPECT_EQ(line2.substr(0, 4), "row,");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, BadPathReportsNotOk) {
-  CsvWriter csv("/nonexistent-dir-xyz/out.csv");
-  EXPECT_FALSE(csv.ok());
-  csv.write_row({"ignored"});  // must not crash
 }
 
 }  // namespace
