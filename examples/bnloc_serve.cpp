@@ -94,14 +94,15 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--threads") {
-      if (++i >= argc) return usage(argv[0]);
-      config.threads = static_cast<std::size_t>(std::strtoul(argv[i], nullptr, 10));
+      const auto threads = ++i < argc ? parse_count(argv[i]) : std::nullopt;
+      if (!threads) return usage(argv[0]);
+      config.threads = *threads;
     } else if (arg == "--no-share") {
       config.share_kernels = false;
     } else if (arg == "--repeat") {
-      if (++i >= argc) return usage(argv[0]);
-      repeat = static_cast<std::size_t>(std::strtoul(argv[i], nullptr, 10));
-      if (repeat == 0) repeat = 1;
+      const auto count = ++i < argc ? parse_count(argv[i]) : std::nullopt;
+      if (!count) return usage(argv[0]);
+      repeat = *count == 0 ? 1 : *count;
     } else if (arg == "--metrics-out") {
       if (++i >= argc) return usage(argv[0]);
       metrics_out = argv[i];

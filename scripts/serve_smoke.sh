@@ -99,4 +99,25 @@ python3 scripts/check_metrics.py trace "$TMP/t1.json" \
   --contains grid.run grid.setup \
   --contains grid.run grid.update
 
+# 6. Hostile input fails cleanly instead of killing the process: a batch
+# nested 100,000 deep (the reader recurses per container) must exit 1 with
+# the parse error, and a negative count must be a usage error (exit 2), not
+# a wrapped 2^64 - 1 worker threads.
+python3 -c 'print("[" * 100000 + "]" * 100000)' > "$TMP/deep.json"
+status=0
+"$SERVE" --quiet - < "$TMP/deep.json" > /dev/null 2> "$TMP/deep.err" ||
+  status=$?
+if [ "$status" -ne 1 ] || ! grep -q "nesting too deep" "$TMP/deep.err"; then
+  echo "serve_smoke: deep batch: want exit 1 + 'nesting too deep'," \
+    "got exit $status" >&2
+  exit 1
+fi
+status=0
+"$SERVE" --quiet --threads -1 "$TMP/batch.json" > /dev/null 2>&1 ||
+  status=$?
+if [ "$status" -ne 2 ]; then
+  echo "serve_smoke: --threads -1: want exit 2, got exit $status" >&2
+  exit 1
+fi
+
 echo "serve smoke passed"

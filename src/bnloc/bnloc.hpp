@@ -58,7 +58,6 @@
 #include "prior/prior.hpp"
 #include "radio/connectivity.hpp"
 #include "radio/ranging.hpp"
-#include "radio/rssi.hpp"
 #include "serve/json_io.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"

@@ -38,32 +38,6 @@ ErrorReport evaluate(const Scenario& scenario,
   return report;
 }
 
-FaultSplitReport evaluate_fault_split(const Scenario& scenario,
-                                      const LocalizationResult& result) {
-  BNLOC_ASSERT(result.estimates.size() == scenario.node_count(),
-               "result does not match scenario");
-  FaultSplitReport report;
-  std::vector<double> clean_errors, faulted_errors;
-  const double r = scenario.radio.range;
-  const bool labeled =
-      scenario.faults.active &&
-      scenario.faults.node_tainted.size() == scenario.node_count();
-  for (std::size_t i = 0; i < scenario.node_count(); ++i) {
-    if (scenario.is_anchor[i] || !result.estimates[i]) continue;
-    const double err =
-        distance(*result.estimates[i], scenario.true_positions[i]) / r;
-    if (labeled && scenario.faults.node_tainted[i])
-      faulted_errors.push_back(err);
-    else
-      clean_errors.push_back(err);
-  }
-  report.clean_count = clean_errors.size();
-  report.faulted_count = faulted_errors.size();
-  report.clean = summarize(clean_errors);
-  report.faulted = summarize(faulted_errors);
-  return report;
-}
-
 double DetectionReport::precision() const noexcept {
   const std::size_t flagged = true_positives + false_positives;
   return flagged ? static_cast<double>(true_positives) /

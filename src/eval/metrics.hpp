@@ -33,20 +33,6 @@ struct ErrorReport {
                                            const LocalizationResult& result,
                                            double k_sigma);
 
-/// Error split by fault exposure (F13): unknowns whose one-hop neighborhood
-/// was touched by an injected fault (NLOS link, faulty anchor, crash) score
-/// separately from clean ones — graceful degradation means the clean split
-/// stays near the fault-free error while the faulted split grows slowly.
-struct FaultSplitReport {
-  Summary clean;    ///< errors of unaffected localized unknowns (/R).
-  Summary faulted;  ///< errors of fault-touched localized unknowns (/R).
-  std::size_t clean_count = 0;    ///< localized clean unknowns.
-  std::size_t faulted_count = 0;  ///< localized fault-touched unknowns.
-};
-
-[[nodiscard]] FaultSplitReport evaluate_fault_split(
-    const Scenario& scenario, const LocalizationResult& result);
-
 /// Detection quality of an anchor-fault classifier (e.g. vet_anchors)
 /// against the injected ground truth.
 struct DetectionReport {

@@ -158,21 +158,6 @@ void finalize_fault_labels(FaultLabels& labels, const Graph& graph,
           bad.count(lo * static_cast<std::uint64_t>(n) + hi) ? 1 : 0);
     }
   }
-
-  // Tainted = any fault within one hop: an unknown whose evidence or
-  // neighborhood was corrupted cannot be expected to score like a clean one.
-  labels.node_tainted.assign(n, 0);
-  std::size_t slot = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (labels.anchor_faulty[u] || labels.death_round[u] != kNeverCrashes)
-      labels.node_tainted[u] = 1;
-    for (const Neighbor& nb : graph.neighbors(u)) {
-      if (labels.link_outlier[slot++]) labels.node_tainted[u] = 1;
-      if (labels.anchor_faulty[nb.node] ||
-          labels.death_round[nb.node] != kNeverCrashes)
-        labels.node_tainted[u] = 1;
-    }
-  }
 }
 
 }  // namespace bnloc

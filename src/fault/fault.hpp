@@ -97,9 +97,6 @@ struct FaultLabels {
   /// Per node: round from which a crashed node transmits again
   /// (kNeverCrashes = stays dead). Empty when reboot_fraction is 0.
   std::vector<std::size_t> reboot_round;
-  /// Per node: 1 when any fault touches the node (incident outlier link,
-  /// faulty-anchor neighbor, or a crashed neighbor) — the evaluation split.
-  std::vector<unsigned char> node_tainted;
 
   [[nodiscard]] std::size_t outlier_link_count() const noexcept;
   [[nodiscard]] std::size_t faulty_anchor_count() const noexcept;
@@ -144,7 +141,7 @@ class FaultInjector {
 };
 
 /// Expand per-edge outlier labels to per-directed-CSR-slot labels matching
-/// `graph`'s neighbor order, and derive the per-node tainted flags.
+/// `graph`'s neighbor order.
 void finalize_fault_labels(FaultLabels& labels, const Graph& graph,
                            std::span<const Edge> edges,
                            std::span<const unsigned char> edge_outlier);

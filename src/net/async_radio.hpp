@@ -173,12 +173,6 @@ class AsyncRadio {
   [[nodiscard]] std::size_t link_count() const noexcept {
     return offsets_.back();
   }
-  [[nodiscard]] std::size_t sender_of(std::size_t slot) const noexcept {
-    return slot_sender_[slot];
-  }
-  [[nodiscard]] std::size_t receiver_of(std::size_t slot) const noexcept {
-    return slot_receiver_[slot];
-  }
   [[nodiscard]] std::size_t incoming_begin(std::size_t node) const noexcept {
     return offsets_[node];
   }

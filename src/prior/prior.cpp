@@ -161,27 +161,4 @@ PriorPtr MixturePrior::shifted(Vec2 offset) const {
   return std::make_shared<MixturePrior>(std::move(shifted_components));
 }
 
-// --------------------------------------------------------------- Corridor
-
-PriorPtr make_corridor_prior(Vec2 a, Vec2 b, double lateral_sigma,
-                             std::size_t segments) {
-  BNLOC_ASSERT(segments >= 1, "corridor needs at least one segment");
-  const Vec2 axis = (b - a).normalized();
-  const double len = distance(a, b);
-  // Component spacing chosen so adjacent Gaussians overlap at ~1 sigma,
-  // keeping the along-track density approximately flat.
-  const double along_sigma =
-      std::max(lateral_sigma, len / static_cast<double>(segments));
-  std::vector<MixturePrior::Component> comps;
-  comps.reserve(segments);
-  for (std::size_t k = 0; k < segments; ++k) {
-    const double t =
-        (static_cast<double>(k) + 0.5) / static_cast<double>(segments);
-    comps.push_back({1.0, std::make_shared<GaussianPrior>(
-                              lerp(a, b, t), along_sigma * 0.75,
-                              lateral_sigma, axis)});
-  }
-  return std::make_shared<MixturePrior>(std::move(comps));
-}
-
 }  // namespace bnloc

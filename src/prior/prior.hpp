@@ -114,10 +114,4 @@ class MixturePrior final : public PositionPrior {
   std::vector<Component> components_;  ///< weights normalized to sum 1.
 };
 
-/// Corridor pre-knowledge without per-node ordering: the node landed
-/// somewhere along segment [a, b] with lateral Gaussian spread. Implemented
-/// as a dense Gaussian mixture along the segment.
-[[nodiscard]] PriorPtr make_corridor_prior(Vec2 a, Vec2 b, double lateral_sigma,
-                                           std::size_t segments = 16);
-
 }  // namespace bnloc

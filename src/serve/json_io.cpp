@@ -23,12 +23,17 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
 
 namespace {
 
+// Containers the reader nests before it gives up. The reader recurses once
+// per '[' or '{', so an unbounded depth lets a short hostile batch overflow
+// the stack; a request is at most 4 levels deep.
+constexpr std::size_t kMaxJsonDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   bool parse(JsonValue& out, std::string* error) {
-    if (!value(out)) {
+    if (!value(out, 0)) {
       if (error) {
         char buf[160];
         std::snprintf(buf, sizeof buf, "JSON parse error at offset %zu: %s",
@@ -78,12 +83,16 @@ class Parser {
     return true;
   }
 
-  bool value(JsonValue& out) {
+  /// `depth` counts the containers enclosing `out`.
+  bool value(JsonValue& out, std::size_t depth) {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+    const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth)
+      return fail("nesting too deep");
+    switch (c) {
+      case '{': return object(out, depth + 1);
+      case '[': return array(out, depth + 1);
       case '"':
         out.kind = JsonValue::Kind::string;
         return string(out.str);
@@ -102,7 +111,7 @@ class Parser {
     }
   }
 
-  bool object(JsonValue& out) {
+  bool object(JsonValue& out, std::size_t depth) {
     out.kind = JsonValue::Kind::object;
     ++pos_;  // '{'
     skip_ws();
@@ -115,7 +124,7 @@ class Parser {
       if (!string(key)) return false;
       if (!consume(':')) return fail("expected ':' after key");
       JsonValue member;
-      if (!value(member)) return false;
+      if (!value(member, depth)) return false;
       out.members.emplace_back(std::move(key), std::move(member));
       if (consume(',')) continue;
       if (consume('}')) return true;
@@ -123,14 +132,14 @@ class Parser {
     }
   }
 
-  bool array(JsonValue& out) {
+  bool array(JsonValue& out, std::size_t depth) {
     out.kind = JsonValue::Kind::array;
     ++pos_;  // '['
     skip_ws();
     if (consume(']')) return true;
     while (true) {
       JsonValue item;
-      if (!value(item)) return false;
+      if (!value(item, depth)) return false;
       out.items.push_back(std::move(item));
       if (consume(',')) continue;
       if (consume(']')) return true;

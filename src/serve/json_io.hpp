@@ -39,8 +39,8 @@ struct JsonValue {
 };
 
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
-/// False on malformed input, with a position-annotated reason in `*error`
-/// when non-null.
+/// False on malformed input or on containers nested more than 64 deep, with
+/// a position-annotated reason in `*error` when non-null.
 [[nodiscard]] bool parse_json(std::string_view text, JsonValue& out,
                               std::string* error = nullptr);
 

@@ -1,23 +1,24 @@
 #include "support/config.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace bnloc {
 
-std::size_t env_size_t(const char* name, std::size_t fallback) noexcept {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  return (end && *end == '\0') ? static_cast<std::size_t>(v) : fallback;
+std::optional<std::size_t> parse_count(std::string_view text) noexcept {
+  // from_chars takes no whitespace, no '+' and, for an unsigned type, no
+  // '-'; it reports overflow instead of wrapping like strtoull.
+  const char* last = text.data() + text.size();
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return value;
 }
 
-double env_double(const char* name, double fallback) noexcept {
+std::size_t env_size_t(const char* name, std::size_t fallback) noexcept {
   const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  return (end && *end == '\0') ? v : fallback;
+  if (!raw) return fallback;
+  return parse_count(raw).value_or(fallback);
 }
 
 bool env_flag(const char* name) noexcept {

@@ -2,17 +2,27 @@
 //
 // All bench targets run argument-free (the harness iterates build/bench/*),
 // so sizing knobs come from the environment: BNLOC_TRIALS, BNLOC_NODES,
-// BNLOC_THREADS, BNLOC_FAST. See DESIGN.md section 5.
+// BNLOC_THREADS, BNLOC_FAST. See DESIGN.md section 5. `parse_count` also
+// reads bnloc_serve's count flags.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace bnloc {
 
+/// A decimal count: one or more ASCII digits and nothing else (no sign, no
+/// whitespace), within std::size_t. nullopt otherwise, so "-1" and an
+/// overflowing value are rejected instead of wrapping to a huge count.
+[[nodiscard]] std::optional<std::size_t> parse_count(
+    std::string_view text) noexcept;
+
+/// parse_count of the variable's value; `fallback` when it is unset, empty
+/// or not a count.
 [[nodiscard]] std::size_t env_size_t(const char* name,
                                      std::size_t fallback) noexcept;
-[[nodiscard]] double env_double(const char* name, double fallback) noexcept;
 [[nodiscard]] bool env_flag(const char* name) noexcept;
 [[nodiscard]] std::string env_string(const char* name,
                                      const std::string& fallback);

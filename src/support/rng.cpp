@@ -87,35 +87,12 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-double Rng::lognormal(double mu, double sigma) noexcept {
-  return std::exp(normal(mu, sigma));
-}
-
 double Rng::exponential(double rate) noexcept {
   BNLOC_DEBUG_ASSERT(rate > 0.0, "exponential needs rate > 0");
   return -std::log(1.0 - uniform()) / rate;
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
-
-std::uint64_t Rng::poisson(double mean) noexcept {
-  BNLOC_DEBUG_ASSERT(mean >= 0.0, "poisson needs mean >= 0");
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double prod = uniform();
-    while (prod > limit) {
-      ++k;
-      prod *= uniform();
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction; adequate for the
-  // traffic/packet counts bnloc generates.
-  const double draw = normal(mean, std::sqrt(mean));
-  return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   BNLOC_ASSERT(k <= n, "cannot sample more indices than available");

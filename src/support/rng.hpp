@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace bnloc {
@@ -48,22 +47,8 @@ class Rng {
   /// Standard normal via Marsaglia polar method (cached spare).
   double normal() noexcept;
   double normal(double mean, double stddev) noexcept;
-  /// Log-normal with the *underlying* normal's mu/sigma.
-  double lognormal(double mu, double sigma) noexcept;
   double exponential(double rate) noexcept;
   bool bernoulli(double p) noexcept;
-  /// Poisson (Knuth for small mean, normal approximation for large).
-  std::uint64_t poisson(double mean) noexcept;
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::span<T> items) noexcept {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(uniform_index(i));
-      using std::swap;
-      swap(items[i - 1], items[j]);
-    }
-  }
 
   /// k distinct indices from [0, n), in random order. k <= n required.
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n,

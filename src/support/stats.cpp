@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "support/assert.hpp"
 
@@ -91,13 +90,6 @@ double mean_of(std::span<const double> values) noexcept {
   return sum / static_cast<double>(values.size());
 }
 
-double rms_of(std::span<const double> values) noexcept {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v * v;
-  return std::sqrt(sum / static_cast<double>(values.size()));
-}
-
 double correlation(std::span<const double> xs, std::span<const double> ys) {
   BNLOC_ASSERT(xs.size() == ys.size(), "correlation needs equal-size samples");
   if (xs.size() < 2) return 0.0;
@@ -113,13 +105,6 @@ double correlation(std::span<const double> xs, std::span<const double> ys) {
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::string format_mean_sem(double mean, double sem, int precision) {
-  char buf[80];
-  std::snprintf(buf, sizeof(buf), "%.*f +/- %.*f", precision, mean, precision,
-                sem);
-  return buf;
 }
 
 }  // namespace bnloc

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace bnloc {
@@ -52,14 +51,9 @@ struct Summary {
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
 [[nodiscard]] double mean_of(std::span<const double> values) noexcept;
-[[nodiscard]] double rms_of(std::span<const double> values) noexcept;
 
 /// Pearson correlation; 0 when either sample is constant.
 [[nodiscard]] double correlation(std::span<const double> xs,
                                  std::span<const double> ys);
-
-/// "0.1234 +/- 0.0012" formatting helper for tables.
-[[nodiscard]] std::string format_mean_sem(double mean, double sem,
-                                          int precision = 4);
 
 }  // namespace bnloc

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "baselines/centroid.hpp"
 #include "core/grid_bncl.hpp"
@@ -173,18 +176,47 @@ TEST(BenchConfig, FastModeShrinksDefaults) {
 }
 
 TEST(EnvHelpers, ParseAndFallback) {
-  ::setenv("BNLOC_TEST_D", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("BNLOC_TEST_D", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(env_double("BNLOC_TEST_MISSING", 1.0), 1.0);
-  ::setenv("BNLOC_TEST_D", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_double("BNLOC_TEST_D", 1.0), 1.0);
+  ::setenv("BNLOC_TEST_N", "12", 1);
+  EXPECT_EQ(env_size_t("BNLOC_TEST_N", 3), 12u);
+  EXPECT_EQ(env_size_t("BNLOC_TEST_MISSING", 3), 3u);
+  // Anything but plain digits within std::size_t falls back: garbage, a
+  // negative count (strtoull would wrap it to 2^64 - 1) and an overflow.
+  for (const char* bad : {"garbage", "", "-1", "+4", " 4", "4x",
+                          "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("BNLOC_TEST_N", bad, 1);
+    EXPECT_EQ(env_size_t("BNLOC_TEST_N", 3), 3u);
+  }
   ::setenv("BNLOC_TEST_F", "yes", 1);
   EXPECT_TRUE(env_flag("BNLOC_TEST_F"));
   ::setenv("BNLOC_TEST_F", "0", 1);
   EXPECT_FALSE(env_flag("BNLOC_TEST_F"));
   EXPECT_EQ(env_string("BNLOC_TEST_MISSING", "dflt"), "dflt");
-  ::unsetenv("BNLOC_TEST_D");
+  ::unsetenv("BNLOC_TEST_N");
   ::unsetenv("BNLOC_TEST_F");
+}
+
+// parse_count is the one count reader behind env_size_t and bnloc_serve's
+// --threads/--repeat: plain decimal digits, the whole std::size_t range.
+TEST(ParseCount, AcceptsPlainDigitsUpToSizeMax) {
+  constexpr std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(parse_count("0"), std::optional<std::size_t>{0});
+  EXPECT_EQ(parse_count("7"), std::optional<std::size_t>{7});
+  EXPECT_EQ(parse_count("007"), std::optional<std::size_t>{7});
+  EXPECT_EQ(parse_count(std::to_string(max)), std::optional<std::size_t>{max});
+}
+
+TEST(ParseCount, RejectsSignsSpacesSuffixesAndOverflow) {
+  // One past std::size_t's maximum: its decimal form ends in 5 on both 32-
+  // and 64-bit targets, so bumping the last digit cannot carry.
+  std::string past_max =
+      std::to_string(std::numeric_limits<std::size_t>::max());
+  ++past_max.back();
+  for (const char* bad : {"", "-1", "-0", "+4", " 4", "4 ", "4x", "0x10", "1e3",
+                          "4.0", past_max.c_str()}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parse_count(bad).has_value());
+  }
 }
 
 }  // namespace

@@ -159,6 +159,76 @@ TEST(GridBelief, RectangularFieldCells) {
   EXPECT_EQ(b.cell_at(b.cell_center(37)), 37u);
 }
 
+// --- Pyramid regions of interest: support_box -> dilated -> mask_in --------
+
+TEST(CellBox, DilatedGrowsEveryEdgeAndClipsToTheGrid) {
+  const CellBox box{3, 5, 2, 6};
+  EXPECT_EQ(box.dilated(1, 10), (CellBox{2, 6, 1, 7}));
+  EXPECT_EQ(box.dilated(0, 10), box);
+  // Edges stop at the grid: a margin past them only clips.
+  EXPECT_EQ(box.dilated(3, 10), (CellBox{0, 8, 0, 9}));
+  EXPECT_EQ(box.dilated(50, 10), CellBox::full(10));
+  // An empty box stays empty rather than growing out of nothing.
+  EXPECT_TRUE(CellBox{}.dilated(2, 10).empty());
+}
+
+TEST(BeliefOps, SupportBoxBoundsCellsAbovePeakFraction) {
+  constexpr std::size_t side = 8;
+  std::vector<double> mass(side * side, 0.0);
+  mass[2 * side + 3] = 1.0;    // peak at (3, 2)
+  mass[5 * side + 6] = 0.5;    // (6, 5): at half the peak
+  mass[7 * side + 0] = 1e-3;   // (0, 7): far below it
+  EXPECT_EQ(beliefops::support_box(mass, side, 0.5), (CellBox{3, 6, 2, 5}));
+  EXPECT_EQ(beliefops::support_box(mass, side, 0.6), CellBox::at(19, side));
+  EXPECT_EQ(beliefops::support_box(mass, side, 1e-6), (CellBox{0, 6, 2, 7}));
+  // No positive mass: nothing to bound, so the whole grid.
+  const std::vector<double> zero(side * side, 0.0);
+  EXPECT_EQ(beliefops::support_box(zero, side, 0.5), CellBox::full(side));
+}
+
+TEST(BeliefOps, MaskInZeroesOutsideTheBoxAndRenormalizesInside) {
+  constexpr std::size_t side = 6;
+  const CellBox box{1, 2, 3, 4};  // 2 x 2
+  std::vector<double> mass(side * side, 1.0 / 36.0);
+  mass[3 * side + 1] = 3.0 / 36.0;
+  beliefops::mask_in(mass, side, box);
+  double inside = 0.0;
+  for (std::size_t c = 0; c < mass.size(); ++c) {
+    const auto x = static_cast<std::int32_t>(c % side);
+    const auto y = static_cast<std::int32_t>(c / side);
+    const bool in = x >= box.x0 && x <= box.x1 && y >= box.y0 && y <= box.y1;
+    if (in) {
+      inside += mass[c];
+    } else {
+      EXPECT_EQ(mass[c], 0.0) << "cell " << c;
+    }
+  }
+  EXPECT_NEAR(inside, 1.0, 1e-12);
+  // Ratios inside the box survive the renormalization: 3 : 1 : 1 : 1.
+  EXPECT_NEAR(mass[3 * side + 1], 0.5, 1e-12);
+  EXPECT_NEAR(mass[4 * side + 2], 1.0 / 6.0, 1e-12);
+
+  // The full box masks nothing: the buffer is left as it is, bit for bit.
+  std::vector<double> untouched(side * side, 0.25);
+  beliefops::mask_in(untouched, side, CellBox::full(side));
+  for (const double m : untouched) EXPECT_EQ(m, 0.25);
+}
+
+TEST(BeliefOps, MaskInWithNoMassInsideFallsBackToUniformInTheBox) {
+  constexpr std::size_t side = 6;
+  std::vector<double> mass(side * side, 0.0);
+  mass[0] = 1.0;  // all the mass outside the box
+  const CellBox box{2, 4, 1, 2};  // 3 x 2
+  beliefops::mask_in(mass, side, box);
+  EXPECT_EQ(mass[0], 0.0);
+  for (std::int32_t y = box.y0; y <= box.y1; ++y)
+    for (std::int32_t x = box.x0; x <= box.x1; ++x)
+      EXPECT_NEAR(mass[static_cast<std::size_t>(y) * side +
+                       static_cast<std::size_t>(x)],
+                  1.0 / 6.0, 1e-15);
+  EXPECT_NEAR(std::accumulate(mass.begin(), mass.end(), 0.0), 1.0, 1e-12);
+}
+
 TEST(BeliefStore, SlotsAreSizedToTheirBoxes) {
   const GridShape shape{Aabb::unit(), 12};
   const CellBox roi{2, 4, 7, 8};  // 3 x 2

@@ -7,16 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/grid_bncl.hpp"
 #include "eval/experiment.hpp"
+#include "obs/json.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/report.hpp"
 
@@ -558,6 +561,58 @@ TEST(Exporters, BadPathsReturnFalse) {
   EXPECT_FALSE(obs::export_run_report_json("/dev/full", report));
   EXPECT_FALSE(obs::export_prometheus("/dev/full", registry));
   EXPECT_FALSE(obs::export_trace_events_json("/dev/full", spans));
+}
+
+TEST(RunReport, DescribesTheRangingModelAndItsNoise) {
+  ScenarioConfig cfg;
+  cfg.radio = make_radio(0.2, RangingType::log_normal, 0.1);
+  EXPECT_EQ(obs::describe_ranging(cfg), "log_normal(10%)");
+  cfg.radio = make_radio(0.2, RangingType::gaussian, 0.05);
+  EXPECT_EQ(obs::describe_ranging(cfg), "gaussian(5%)");
+}
+
+// --- JSON writer ----------------------------------------------------------
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(obs::json_escape("plain é"), "plain é");
+  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(obs::json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(obs::json_escape(std::string_view("\0\x01\x1f", 3)),
+            "\\u0000\\u0001\\u001f");
+  EXPECT_EQ(obs::json_escape("\x7f"), "\x7f");  // DEL needs no escape
+}
+
+TEST(JsonWriter, CommasSeparateSiblingsAtEveryLevel) {
+  obs::JsonWriter w;
+  w.begin_object()
+      .kv("a", std::uint64_t{1})
+      .key("list")
+      .begin_array()
+      .value(true)
+      .begin_object()
+      .end_object()
+      .begin_array()
+      .end_array()
+      .value("s")
+      .end_array()
+      .kv("q\"", "x")
+      .end_object();
+  EXPECT_EQ(w.str(), R"({"a":1,"list":[true,{},[],"s"],"q\"":"x"})");
+}
+
+TEST(JsonWriter, DoublesRoundTripAndNonFiniteBecomesNull) {
+  obs::JsonWriter w;
+  w.begin_array()
+      .value(0.1)
+      .value(-2.5e-300)
+      .value(std::nan(""))
+      .value(HUGE_VAL)
+      .end_array();
+  EXPECT_EQ(w.str().substr(w.str().size() - 11), ",null,null]");
+  double first = 0.0, second = 0.0;
+  ASSERT_EQ(std::sscanf(w.str().c_str(), "[%lf,%lf", &first, &second), 2);
+  EXPECT_EQ(first, 0.1);
+  EXPECT_EQ(second, -2.5e-300);
 }
 
 }  // namespace

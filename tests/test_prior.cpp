@@ -169,24 +169,5 @@ TEST(MixturePrior, WidenedAppliesToAllComponents) {
   EXPECT_NEAR(wide->covariance().yy, 0.09, 1e-12);
 }
 
-TEST(CorridorPrior, MassConcentratedAlongSegment) {
-  const auto prior = make_corridor_prior({0.1, 0.5}, {0.9, 0.5}, 0.03);
-  // On-corridor density far exceeds off-corridor density.
-  EXPECT_GT(prior->density({0.5, 0.5}), 10.0 * prior->density({0.5, 0.8}));
-  // Roughly flat along the corridor interior.
-  const double d1 = prior->density({0.3, 0.5});
-  const double d2 = prior->density({0.7, 0.5});
-  EXPECT_NEAR(d1 / d2, 1.0, 0.25);
-}
-
-TEST(CorridorPrior, SamplesNearSegment) {
-  const auto prior = make_corridor_prior({0.1, 0.5}, {0.9, 0.5}, 0.03);
-  Rng rng(11);
-  RunningStats off_axis;
-  for (int i = 0; i < 5000; ++i)
-    off_axis.add(std::abs(prior->sample(rng).y - 0.5));
-  EXPECT_LT(off_axis.mean(), 0.06);
-}
-
 }  // namespace
 }  // namespace bnloc

@@ -37,6 +37,20 @@ TEST(Ranging, LogNormalMedianEqualsTrueDistance) {
   EXPECT_NEAR(quantile(xs, 0.5), 0.2, 0.005);
 }
 
+// The RSSI abstraction: log(d̂ / d) is N(0, noise_factor) at any distance,
+// the spread the log-normal likelihood assumes.
+TEST(Ranging, LogNormalLogErrorHasSigmaNoiseFactor) {
+  Rng rng(7);
+  for (const double d : {0.05, 0.2}) {
+    RangingSpec spec{RangingType::log_normal, 0.25, 0.15};
+    RunningStats log_ratio;
+    for (int i = 0; i < 50000; ++i)
+      log_ratio.add(std::log(spec.measure(d, rng) / d));
+    EXPECT_NEAR(log_ratio.mean(), 0.0, 0.005) << "d=" << d;
+    EXPECT_NEAR(log_ratio.stddev(), 0.25, 0.005) << "d=" << d;
+  }
+}
+
 TEST(Ranging, LogNormalNoiseGrowsWithDistance) {
   RangingSpec spec{RangingType::log_normal, 0.1, 0.15};
   EXPECT_GT(spec.sigma_at(0.2), spec.sigma_at(0.1));

@@ -3,14 +3,23 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 namespace bnloc {
 namespace {
+
+// Every seeded stream starts from splitmix64, so pin it to the reference
+// outputs of Vigna's splitmix64.c for state 1234567.
+TEST(Rng, SplitmixMatchesTheReferenceOutputs) {
+  std::uint64_t state = 1234567;
+  for (const std::uint64_t expected :
+       {6457827717110365317ULL, 3203168211198807973ULL, 9817491932198370423ULL,
+        4593380528125082431ULL, 16408922859458223821ULL}) {
+    EXPECT_EQ(splitmix64(state), expected);
+  }
+}
 
 TEST(Rng, SameSeedSameStream) {
   Rng a(123), b(123);
@@ -103,15 +112,6 @@ TEST(Rng, NormalScaleAndShift) {
   EXPECT_NEAR(sum / n, 5.0, 0.05);
 }
 
-TEST(Rng, LognormalMedianIsExpMu) {
-  Rng rng(3);
-  const int n = 50001;
-  std::vector<double> xs(n);
-  for (auto& x : xs) x = rng.lognormal(1.0, 0.5);
-  std::nth_element(xs.begin(), xs.begin() + n / 2, xs.end());
-  EXPECT_NEAR(xs[n / 2], std::exp(1.0), 0.1);
-}
-
 TEST(Rng, ExponentialMean) {
   Rng rng(17);
   const int n = 100000;
@@ -127,32 +127,6 @@ TEST(Rng, BernoulliRate) {
   for (int i = 0; i < n; ++i)
     if (rng.bernoulli(0.3)) ++hits;
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.01);
-}
-
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  Rng rng(31);
-  for (double mean : {0.5, 5.0, 80.0}) {
-    double sum = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-      sum += static_cast<double>(rng.poisson(mean));
-    EXPECT_NEAR(sum / n, mean, mean * 0.05 + 0.05) << "mean=" << mean;
-  }
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(1);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng rng(8);
-  std::vector<int> v(50);
-  std::iota(v.begin(), v.end(), 0);
-  rng.shuffle(std::span<int>(v));
-  std::vector<int> sorted = v;
-  std::sort(sorted.begin(), sorted.end());
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(sorted[i], i);
 }
 
 TEST(Rng, SampleIndicesDistinctAndInRange) {

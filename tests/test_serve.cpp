@@ -10,6 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "core/gaussian_bncl.hpp"
+#include "core/grid_bncl.hpp"
+#include "core/particle_bncl.hpp"
+#include "obs/json.hpp"
 #include "obs/prometheus.hpp"
 #include "serve/json_io.hpp"
 #include "serve/request.hpp"
@@ -123,7 +127,88 @@ TEST(ServeJson, DuplicateKeysKeepLastOccurrence) {
   EXPECT_DOUBLE_EQ(v.find("k")->num, 2.0);
 }
 
+// Serve echoes caller strings (tenant, id, error text) through obs's JSON
+// writer, so the reader must give back every byte the writer escapes.
+TEST(ServeJson, ReadsBackWhatTheObsWriterEscapes) {
+  std::string raw;
+  for (int c = 0; c < 0x80; ++c) raw.push_back(static_cast<char>(c));
+  raw += "\xC3\xA9";  // U+00E9 as UTF-8 passes through unescaped
+  obs::JsonWriter w;
+  w.begin_object().kv(raw, raw).end_object();
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(parse_json(w.str(), v, &error)) << error;
+  ASSERT_EQ(v.members.size(), 1u);
+  EXPECT_EQ(v.members[0].first, raw);
+  EXPECT_EQ(v.members[0].second.str, raw);
+}
+
+// The nesting cap counts enclosing containers of either kind, and only
+// those: depth passes down a branch, never across siblings.
+TEST(ServeJson, ObjectsCountTowardTheNestingCap) {
+  const auto nested = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"k\":";
+    text += "0";
+    return text + std::string(depth, '}');
+  };
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(parse_json(nested(64), v, &error)) << error;
+  EXPECT_FALSE(parse_json(nested(65), v, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
+TEST(ServeJson, SiblingContainersDoNotAddUpTowardTheNestingCap) {
+  // 100 siblings, each 63 deep, inside one top-level array: depth 64.
+  const std::string branch = std::string(63, '[') + std::string(63, ']');
+  std::string text = "[" + branch;
+  for (int i = 1; i < 100; ++i) text += "," + branch;
+  text += "]";
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(parse_json(text, v, &error)) << error;
+  EXPECT_EQ(v.items.size(), 100u);
+}
+
 // --- Request decoding -------------------------------------------------------
+
+TEST(ServeEngineKind, NamesRoundTripAndUnknownNamesFail) {
+  for (const EngineKind kind :
+       {EngineKind::grid, EngineKind::particle, EngineKind::gauss}) {
+    EngineKind parsed = kind == EngineKind::grid ? EngineKind::gauss
+                                                 : EngineKind::grid;
+    ASSERT_TRUE(engine_kind_from(to_string(kind), parsed)) << to_string(kind);
+    EXPECT_EQ(parsed, kind);
+  }
+  for (const char* bad : {"", "Grid", "grid ", "dvhop", "gaussian"}) {
+    SCOPED_TRACE(bad);
+    EngineKind out = EngineKind::particle;
+    EXPECT_FALSE(engine_kind_from(bad, out));
+    EXPECT_EQ(out, EngineKind::particle);  // left as it was
+  }
+}
+
+TEST(ServeMakeLocalizer, BuildsTheRequestedEngineWithItsConfig) {
+  const ServeRequest grid = tiny_request("t", "g", 1, EngineKind::grid);
+  const auto g = make_localizer(grid);
+  const auto* as_grid = dynamic_cast<const GridBncl*>(g.get());
+  ASSERT_NE(as_grid, nullptr);
+  EXPECT_EQ(as_grid->config().grid_side, 12u);
+
+  const ServeRequest particle =
+      tiny_request("t", "p", 1, EngineKind::particle);
+  const auto p = make_localizer(particle);
+  const auto* as_particle = dynamic_cast<const ParticleBncl*>(p.get());
+  ASSERT_NE(as_particle, nullptr);
+  EXPECT_EQ(as_particle->config().particle_count, 32u);
+
+  const ServeRequest gauss = tiny_request("t", "n", 1, EngineKind::gauss);
+  const auto n = make_localizer(gauss);
+  const auto* as_gauss = dynamic_cast<const GaussianBncl*>(n.get());
+  ASSERT_NE(as_gauss, nullptr);
+  EXPECT_EQ(as_gauss->config().iteration.max_iterations, 8u);
+}
 
 TEST(ServeRequestDecode, FullRequestRoundTrip) {
   const char* text = R"({
@@ -186,6 +271,26 @@ TEST(ServeRequestDecode, CountsBeyondSizeTAreErrors) {
     EXPECT_NE(error.find("must be a non-negative integer"), std::string::npos)
         << error;
   }
+}
+
+// The reader recurses once per container, so unbounded nesting would let a
+// short batch overflow the stack; nesting past 64 is a parse error.
+TEST(ServeRequestDecode, NestingPastTheCapIsAnError) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(parse_json(nested(64), v, &error)) << error;
+  for (const std::size_t depth : {std::size_t{65}, std::size_t{100000}}) {
+    SCOPED_TRACE(depth);
+    EXPECT_FALSE(parse_json(nested(depth), v, &error));
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  }
+  std::vector<ServeRequest> reqs;
+  EXPECT_FALSE(parse_serve_batch("{\"requests\": " + nested(100000) + "}",
+                                 reqs, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 TEST(ServeRequestDecode, EngineThreadsKnobIsRejected) {
@@ -701,6 +806,25 @@ TEST(BatchService, TenantLatencyPercentilesWithoutPayloadChange) {
       ++roots;
     }
   EXPECT_EQ(roots, batch.size());
+}
+
+// bnloc_serve's stderr summary and bench_p3_serve read these.
+TEST(BatchStats, LatencyQuantileIsNearestRankAndZeroWhenEmpty) {
+  BatchStats stats;
+  EXPECT_EQ(stats.latency_quantile(0.5), 0.0);
+  EXPECT_EQ(stats.requests_per_second(), 0.0);
+  stats.latencies = {0.5, 0.1, 0.4, 0.2, 0.3};
+  EXPECT_EQ(stats.latency_quantile(0.0), 0.1);
+  EXPECT_EQ(stats.latency_quantile(0.5), 0.3);
+  EXPECT_EQ(stats.latency_quantile(0.6), 0.3);  // rank round(2.4) = 2
+  EXPECT_EQ(stats.latency_quantile(0.9), 0.5);  // rank round(3.6) = 4
+  EXPECT_EQ(stats.latency_quantile(1.0), 0.5);
+  EXPECT_EQ(stats.latency_quantile(-1.0), 0.1);  // q clamps to [0, 1]
+  EXPECT_EQ(stats.latency_quantile(2.0), 0.5);
+  EXPECT_EQ(stats.latencies.front(), 0.5);  // request order kept
+  stats.requests = 5;
+  stats.wall_seconds = 2.0;
+  EXPECT_EQ(stats.requests_per_second(), 2.5);
 }
 
 }  // namespace

@@ -124,9 +124,7 @@ TEST(Summarize, RmseAtLeastMeanForNonNegative) {
 TEST(MeanRms, Basics) {
   const std::vector<double> xs = {3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean_of(xs), 3.5);
-  EXPECT_NEAR(rms_of(xs), std::sqrt(12.5), 1e-12);
   EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_EQ(rms_of({}), 0.0);
 }
 
 TEST(Correlation, PerfectAndAnti) {
@@ -142,10 +140,6 @@ TEST(Correlation, ConstantSampleGivesZero) {
   const std::vector<double> x = {1.0, 1.0, 1.0};
   const std::vector<double> y = {2.0, 5.0, 9.0};
   EXPECT_EQ(correlation(x, y), 0.0);
-}
-
-TEST(FormatMeanSem, Renders) {
-  EXPECT_EQ(format_mean_sem(0.12345, 0.001, 3), "0.123 +/- 0.001");
 }
 
 }  // namespace
