@@ -1,11 +1,22 @@
 // P2 — coarse-to-fine pyramid: end-to-end grid-engine speedup gates.
 //
 // Runs the grid engine single-level vs pyramid (pyramid_levels = 2) on the
-// default 200-node line-drop scenario and enforces the PR's acceptance
-// targets:
+// default 200-node line-drop scenario and enforces:
 //
-//   grid_side = 48:  pyramid >= 2x faster, mean error within 1 %
-//   grid_side = 96:  pyramid >= 4x faster, mean error within 1 %
+//   grid_side = 48:  speedup printed, not gated; mean error within 1 %
+//   grid_side = 96:  pyramid >= 1.5x faster, mean error within 1 %
+//
+// Single-level runs bound every unknown by its prior's support, the same
+// ROI rule as the pyramid's level 0. Before they did, they swept the full
+// grid and the gates read >= 2x at 48 and >= 4x at 96 (measured 2.2x and
+// 4.6x when the pyramid landed, 2.9x and 5.3x just before the ROI rule).
+// The rule made single-level runs 2.3x faster at 48 and 2.8x at 96 while
+// the pyramid's bits stayed put. Nine full 8-trial runs on a shared 4-vCPU
+// x86-64 host now read 1.01-1.31x at 48 (median 1.12x) and 1.53-2.12x
+// at 96 (median 1.82x). At 48 the modes nearly tie and the pyramid takes
+// 22 rounds to single-level's 14, so that ratio is reported only; the 96
+// gate is the median less its spread down to the slowest run, rounded
+// down.
 //
 // Timing uses the best (minimum) per-trial mean across a few repetitions of
 // each configuration — the standard defence against machine jitter; a
@@ -95,9 +106,9 @@ int main() {
 
   struct Gate {
     std::size_t side;
-    double min_speedup;
+    double min_speedup;  ///< 0: the speedup is reported, not gated
   };
-  const Gate gates[] = {{48, 2.0}, {96, 4.0}};
+  const Gate gates[] = {{48, 0.0}, {96, 1.5}};
   const std::size_t reps = bc.fast ? 2 : 3;
   struct Work {
     std::size_t side;
@@ -127,6 +138,9 @@ int main() {
     const bool speed_ok = speedup >= g.min_speedup;
     const bool error_ok = mp.row.error.mean <= ms.row.error.mean * 1.01;
     ok = ok && speed_ok && error_ok;
+    const char* speed_verdict = g.min_speedup <= 0.0 ? "speed not gated"
+                                : speed_ok           ? "speed ok"
+                                                     : "SPEED FAIL";
 
     t.add_row({std::to_string(g.side), "single",
                AsciiTable::fmt(ms.row.error.mean, 4),
@@ -136,7 +150,7 @@ int main() {
                AsciiTable::fmt(mp.row.error.q90, 4),
                AsciiTable::fmt(mp.best_seconds * 1e3, 1),
                AsciiTable::fmt(speedup, 2),
-               std::string(speed_ok ? "speed ok" : "SPEED FAIL") + ", " +
+               std::string(speed_verdict) + ", " +
                    (error_ok ? "error ok" : "ERROR FAIL")});
     work.push_back({g.side, ms, mp});
   }
@@ -163,8 +177,9 @@ int main() {
                   lvl, wk.pyramid.levels[lvl].first,
                   wk.pyramid.levels[lvl].second);
   }
-  std::printf("gates: >=2x at 48, >=4x at 96, pyramid mean error within "
-              "1%% of single-level\n");
+  std::printf("gates: >=%.1fx at 96 (48 reported only), pyramid mean error "
+              "within 1%% of single-level\n",
+              gates[1].min_speedup);
   if (!ok) {
     std::printf("FAIL: pyramid acceptance gate not met\n");
     return EXIT_FAILURE;

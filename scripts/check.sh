@@ -18,16 +18,15 @@ cmake --build build
 ctest --test-dir build --output-on-failure
 
 export BNLOC_FAST=1
-# Skip non-binaries: Makefile-generator builds leave CMakeFiles/ dirs in
-# the runtime output directories.
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  echo "--- $b"
-  "$b" > /dev/null
-done
-for e in build/examples/*; do
-  [ -f "$e" ] && [ -x "$e" ] || continue
-  echo "--- $e"
-  (cd build && "../$e" > /dev/null)
-done
+# Run the targets the configure step listed, not whatever the output
+# directories hold: a target deleted from the build leaves its old binary
+# behind in a reused tree.
+while read -r b; do
+  echo "--- build/bench/$b"
+  "build/bench/$b" < /dev/null > /dev/null
+done < build/bench-build/targets.txt
+while read -r e; do
+  echo "--- build/examples/$e"
+  (cd build && "examples/$e" < /dev/null > /dev/null)
+done < build/examples/targets.txt
 echo "all checks passed"

@@ -52,12 +52,16 @@ std::string GridBncl::name() const {
 
 namespace {
 
-/// Cells whose mass is below this fraction of the belief's peak are outside
-/// the pyramid ROI. The message floor keeps every cell positive, so a node
-/// constrained by k >= 2 messages sits at ~floor^k relative mass away from
-/// its blob — below this threshold — while a one-message node (ring belief,
-/// relative background ~1e-4) keeps a near-full ROI, which is exactly the
-/// node whose position is still genuinely uncertain.
+/// The engine's one ROI rule, with kRoiMargin: a node's region of interest
+/// at a level is the support box of a raster — its prior at the first
+/// level, its upsampled belief at a later pyramid level — at this fraction
+/// of the raster's peak, dilated by kRoiMargin cells. The message floor
+/// keeps every cell positive, so a node constrained by k >= 2 messages sits
+/// at ~floor^k relative mass away from its blob — below this threshold —
+/// while a one-message node (ring belief, relative background ~1e-4) keeps
+/// a near-full ROI, which is exactly the node whose position is still
+/// genuinely uncertain. A prior that is flat over the field yields the
+/// full grid.
 constexpr double kRoiPeakFraction = 1e-6;
 
 /// Pyramid-mode cap on published-summary support cells. The restart at
@@ -69,19 +73,19 @@ constexpr double kRoiPeakFraction = 1e-6;
 /// coverage the receiver sees stays well above the informative gate), and
 /// the wave's cost shrinks proportionally. Converged beliefs sparsify far
 /// below the cap, so steady-state traffic and accuracy are untouched.
-/// Single-level runs keep kMaxSupportCells — bit-identical behavior.
+/// Single-level runs keep kMaxSupportCells.
 constexpr std::size_t kPyramidPublishCap = 64;
 
 /// Two-hop non-link factors per node (negative evidence).
 constexpr std::size_t kNegativeMaxPairs = 12;
 
-/// ROI dilation margin at a level switch, in cells of the level being
-/// entered: the upsampled belief's support box is grown by this much on
-/// every edge before masking. Larger is safer (the region a node's belief
-/// may move into during the level) but slower; 4 covers the coarse-cell
-/// quantization plus normal per-round drift.
-constexpr std::int32_t kPyramidRoiMargin = 4;
-static_assert(kPyramidRoiMargin >= 0, "ROI margin cannot be negative");
+/// ROI dilation margin, in cells of the level being entered: the support
+/// box kRoiPeakFraction finds is grown by this much on every edge before
+/// masking. Larger is safer (the region a node's belief may move into
+/// during the level) but slower; 4 covers the coarse-cell quantization of
+/// an upsampled belief plus normal per-round drift.
+constexpr std::int32_t kRoiMargin = 4;
+static_assert(kRoiMargin >= 0, "ROI margin cannot be negative");
 
 /// Additive floor per message (messages peak at 1).
 constexpr double kMessageFloor = 1e-4;
@@ -276,7 +280,7 @@ class GridRun {
   std::vector<NodeWork> work_;
   std::size_t iter_ = 0;  ///< global round counter, spans all levels
   // Dense side² scratch for the consumers that need a whole-grid belief
-  // (estimates, the level switch's upsample, level-0 prior masking).
+  // (estimates, the level switch's upsample, first-level prior masking).
   std::vector<double> dense_scratch_, coarse_scratch_;
 
   // --- Per level ----------------------------------------------------------
@@ -309,9 +313,8 @@ GridRun::GridRun(const GridBnclConfig& config, const Scenario& scenario,
       tracing_(obs::trace_active()),
       roles_(scenario, config.robustness),
       ranging_(likelihood_ranging(scenario, config.robustness)),
-      // levels == 1 degenerates to the classic single-resolution engine
-      // (one level with a full-grid ROI and no resampling — the historical
-      // code path, bit for bit).
+      // levels == 1 is the single-resolution engine: one level, its ROIs
+      // bounded by the priors' support, and no resampling.
       plan_(PyramidPlan::make(config.grid_side, config.pyramid_levels)),
       pub_cap_(plan_.levels() > 1
                    ? std::min(GridBncl::kMaxSupportCells, kPyramidPublishCap)
@@ -420,24 +423,23 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
   //
   // Pass 1 finds every node's ROI box, so each arena below is allocated
   // once at its exact size; pass 2 rasterizes the level's prior into it.
-  // Pyramid level 0 reads the box off the prior's own raster and keeps
+  // The first level reads the box off the prior's own raster and keeps
   // the masked, packed result for pass 2 instead of rasterizing twice.
   std::vector<double> level0_prior;
-  if (n_levels > 1) dense_scratch_.resize(shape_.cell_count());
+  dense_scratch_.resize(shape_.cell_count());
   for (std::size_t i = 0; i < n_; ++i) {
     if (roles_.acts_anchor(i)) {
       roi_[i] = CellBox::at(shape_.cell_at(scenario_.anchor_position(i)), side);
-    } else if (n_levels == 1) {
-      roi_[i] = CellBox::full(side);  // the historical full-grid sweep
     } else if (lvl == 0) {
-      // Pyramid runs bound even the first level by the *prior's* own
-      // support — pre-knowledge is exactly the license to skip cells the
-      // prior already rules out (a belief rebuilt as prior × messages
-      // keeps ≲1e-6 relative mass there regardless). An uninformative
-      // prior yields a full box and changes nothing.
+      // The first level — every run's only level unless it is a pyramid —
+      // is bounded by the *prior's* own support: pre-knowledge is exactly
+      // the license to skip cells the prior already rules out (a belief
+      // rebuilt as prior × messages keeps ≲1e-6 relative mass there
+      // regardless). A prior flat over the field yields a full box and
+      // changes nothing.
       beliefops::set_from_prior(shape_, dense_scratch_, roles_.prior(i));
       roi_[i] = beliefops::support_box(dense_scratch_, side, kRoiPeakFraction)
-                    .dilated(kPyramidRoiMargin, side);
+                    .dilated(kRoiMargin, side);
       beliefops::mask_in(dense_scratch_, side, roi_[i]);
       level0_prior.resize(level0_prior.size() + roi_[i].cell_count());
       beliefops::copy_in(
@@ -448,7 +450,7 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
       upsample_belief(prev, belief_->dense(i, coarse_scratch_), shape_,
                       dense_scratch_);
       roi_[i] = beliefops::support_box(dense_scratch_, side, kRoiPeakFraction)
-                    .dilated(kPyramidRoiMargin, side);
+                    .dilated(kRoiMargin, side);
     }
   }
   prior_.emplace(shape_, roi_);
@@ -456,8 +458,6 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
     const std::span<double> slot = (*prior_)[i];
     if (roles_.acts_anchor(i)) {
       slot[0] = 1.0;
-    } else if (n_levels == 1) {
-      beliefops::set_from_prior(shape_, slot, roles_.prior(i));
     } else if (lvl == 0) {
       std::copy_n(level0_prior.begin() + static_cast<std::ptrdiff_t>(packed),
                   slot.size(), slot.begin());

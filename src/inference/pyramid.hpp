@@ -11,6 +11,8 @@
 // probability mass is invented or lost beyond FP rounding), and the belief's
 // support becomes a region-of-interest box that keeps the fine level from
 // paying full-grid cost for a belief that has already collapsed to a blob.
+// (The first level — a single-level run's only one — takes its box from
+// the prior's support instead; core/grid_bncl.cpp holds the one rule.)
 //
 // Everything here is geometry + resampling; the engine owns the protocol
 // consequences (cache rebuilds, republish, crashed-node summary translation).
@@ -25,7 +27,7 @@ namespace bnloc {
 
 /// The resolution ladder of one pyramid run: grid sides in ascending order,
 /// finishing at the configured (finest) side. `levels == 1` degenerates to
-/// a single entry — the classic single-resolution engine.
+/// a single entry — the single-resolution engine.
 struct PyramidPlan {
   std::vector<std::size_t> sides;
 

@@ -136,8 +136,8 @@ TEST_P(EngineSuite, SurvivesPacketLoss) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSuite, ::testing::Values(0, 1, 2),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case 0: return "Grid";
                              case 1: return "Particle";
                              default: return "Gauss";

@@ -133,7 +133,8 @@ TEST(ParticleSet, SubsampleFollowsWeights) {
       ++total;
     }
   }
-  EXPECT_NEAR(zero_count / static_cast<double>(total), 0.9, 0.05);
+  EXPECT_NEAR(static_cast<double>(zero_count) / static_cast<double>(total),
+              0.9, 0.05);
 }
 
 }  // namespace

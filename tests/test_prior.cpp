@@ -19,8 +19,8 @@ double integrate(const PositionPrior& prior, const Aabb& box,
   double sum = 0.0;
   for (std::size_t iy = 0; iy < grid; ++iy)
     for (std::size_t ix = 0; ix < grid; ++ix)
-      sum += prior.density({box.lo.x + (ix + 0.5) * dx,
-                            box.lo.y + (iy + 0.5) * dy});
+      sum += prior.density({box.lo.x + (static_cast<double>(ix) + 0.5) * dx,
+                            box.lo.y + (static_cast<double>(iy) + 0.5) * dy});
   return sum * dx * dy;
 }
 

@@ -104,7 +104,9 @@ TEST(PyramidUpsample, SummaryTranslationKeepsOrderBoundsAndMass) {
   double total = 0.0;
   for (std::size_t e = 0; e < out.size(); ++e) {
     EXPECT_LT(out.cells[e], fine.cell_count());
-    if (e > 0) EXPECT_GE(out.mass[e - 1], out.mass[e]);  // descending
+    if (e > 0) {
+      EXPECT_GE(out.mass[e - 1], out.mass[e]);  // descending
+    }
     total += out.mass[e];
   }
   EXPECT_NEAR(total, 1.0, 1e-5);  // float payload masses, renormalized
@@ -203,6 +205,52 @@ TEST(PyramidEngine, MessageCacheBudgetCountsRoiPackedBytes) {
   }
   EXPECT_EQ(cached.change_per_iteration, recompute.change_per_iteration);
   EXPECT_EQ(cached.iterations, recompute.iterations);
+}
+
+// The engine has one ROI rule per level kind: every run's first level
+// bounds each unknown by its prior's support, whatever the pyramid depth. A
+// single-level run at side 24 therefore reports exactly the level-0 ROI of
+// a two-level run at side 48 (whose coarse rung is side 24); exact priors
+// rule out most of the grid, and a flat prior keeps all of it.
+TEST(PyramidEngine, FirstLevelRoiIsThePriorSupportAtAnyDepth) {
+  const auto l0_roi_cells = [](const Scenario& s, std::size_t side,
+                               std::size_t levels) {
+    GridBnclConfig cfg;
+    cfg.grid_side = side;
+    cfg.pyramid_levels = levels;
+    obs::Telemetry sink;
+    Rng rng(7);
+    {
+      const obs::TelemetryScope scope(&sink);
+      (void)GridBncl(cfg).localize(s, rng);
+    }
+    return sink.registry.counter("grid.pyramid.l0.roi_cells");
+  };
+  for (const PriorQuality quality : {PriorQuality::exact, PriorQuality::none}) {
+    SCOPED_TRACE(quality == PriorQuality::exact ? "exact" : "none");
+    ScenarioConfig scfg;
+    scfg.node_count = 60;
+    scfg.anchor_fraction = 0.1;
+    scfg.deployment.kind = DeploymentKind::line_drop;
+    scfg.anchor_placement = AnchorPlacement::random;
+    scfg.radio = make_radio(0.12, RangingType::log_normal, 0.10);
+    scfg.prior_quality = quality;
+    scfg.seed = 23;
+    const Scenario s = build_scenario(scfg);
+    std::uint64_t unknowns = 0;
+    for (std::size_t i = 0; i < s.node_count(); ++i)
+      if (!s.is_anchor[i]) ++unknowns;
+    const std::uint64_t full_grid = unknowns * 24 * 24;
+
+    const std::uint64_t single = l0_roi_cells(s, 24, 1);
+    EXPECT_EQ(single, l0_roi_cells(s, 48, 2));
+    if (quality == PriorQuality::exact) {
+      EXPECT_GT(single, 0u);
+      EXPECT_LT(single, full_grid);
+    } else {
+      EXPECT_EQ(single, full_grid);
+    }
+  }
 }
 
 TEST(PyramidEngine, RejectsZeroLevels) {

@@ -216,8 +216,12 @@ TEST(ConnectivityKernel, DiskOfLinkProbability) {
   k.accumulate(src.sparsify(1.0, 1), out, 32);
   for (std::size_t c = 0; c < out.size(); ++c) {
     const double r = distance(shape.cell_center(c), {0.5, 0.5});
-    if (r < 0.2 - 0.05) EXPECT_NEAR(out[c], 1.0, 1e-9);
-    if (r > 0.2 + 0.05) EXPECT_EQ(out[c], 0.0);
+    if (r < 0.2 - 0.05) {
+      EXPECT_NEAR(out[c], 1.0, 1e-9);
+    }
+    if (r > 0.2 + 0.05) {
+      EXPECT_EQ(out[c], 0.0);
+    }
   }
 }
 

@@ -68,6 +68,15 @@ void expect_payload_identical(const ServeResponse& a, const ServeResponse& b) {
   EXPECT_TRUE(same_bits(a.report.penalized_mean, b.report.penalized_mean));
 }
 
+/// `prefix` followed by `i` ("r7"). Appends rather than `"r" +
+/// std::to_string(i)`, whose inlined insert GCC 12 flags with a false
+/// -Wrestrict.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string out(prefix);
+  out += std::to_string(i);
+  return out;
+}
+
 /// Tiny request: fast enough to serve dozens per test.
 ServeRequest tiny_request(const std::string& tenant, const std::string& id,
                           std::uint64_t seed,
@@ -365,7 +374,7 @@ TEST(BatchService, SoloVsBatchBitIdenticalAcrossThreadCounts) {
   std::vector<ServeRequest> batch;
   const char* tenants[] = {"a", "b", "c"};
   for (std::size_t i = 0; i < 32; ++i) {
-    ServeRequest req = tiny_request(tenants[i % 3], "r" + std::to_string(i),
+    ServeRequest req = tiny_request(tenants[i % 3], numbered("r", i),
                                     100 + (i % 4));
     if (i % 8 == 3) req.engine = EngineKind::particle;
     if (i % 8 == 5) req.engine = EngineKind::gauss;
@@ -398,8 +407,8 @@ TEST(BatchService, SharingPolicyDoesNotChangeOutputs) {
 TEST(BatchService, StreamsResultsInRequestOrder) {
   std::vector<ServeRequest> batch;
   for (std::size_t i = 0; i < 16; ++i)
-    batch.push_back(tiny_request("t" + std::to_string(i % 2),
-                                 "r" + std::to_string(i), 50 + i));
+    batch.push_back(tiny_request(numbered("t", i % 2),
+                                 numbered("r", i), 50 + i));
   BatchService service(ServeConfig{.threads = 4});
   std::vector<std::string> streamed_ids;
   std::vector<std::string> lines;
@@ -698,8 +707,8 @@ TEST(BatchService, SinkLinesStayValidUntilTheNextBatch) {
   // outlive the sink call and the run_batch return.
   std::vector<ServeRequest> batch;
   for (std::size_t i = 0; i < 6; ++i)
-    batch.push_back(tiny_request("t" + std::to_string(i % 3),
-                                 "r" + std::to_string(i), 60 + i));
+    batch.push_back(tiny_request(numbered("t", i % 3),
+                                 numbered("r", i), 60 + i));
   BatchService service(ServeConfig{.threads = 3});
   std::vector<std::string_view> views;
   const auto responses = service.run_batch(
@@ -715,7 +724,7 @@ TEST(BatchService, TenantPercentilesReadTheRegistry) {
   std::vector<ServeRequest> batch;
   for (std::size_t i = 0; i < 8; ++i)
     batch.push_back(tiny_request(i % 4 == 0 ? "rare" : "busy",
-                                 "r" + std::to_string(i), 20 + i));
+                                 numbered("r", i), 20 + i));
   BatchService service(ServeConfig{.threads = 2});
   (void)service.run_batch(batch);
   (void)service.run_batch({tiny_request("rare", "late", 40)});
@@ -766,7 +775,7 @@ TEST(BatchService, TenantLatencyPercentilesWithoutPayloadChange) {
   // a single payload bit.
   std::vector<ServeRequest> batch;
   for (int i = 0; i < 6; ++i)
-    batch.push_back(tiny_request("t", "r" + std::to_string(i),
+    batch.push_back(tiny_request("t", numbered("r", i),
                                  static_cast<std::uint64_t>(i + 1)));
 
   BatchService plain(ServeConfig{.threads = 2});

@@ -450,9 +450,10 @@ TEST_F(SimdModes, PackedViewsMatchDenseViewsBitForBit) {
                                       ConstBoxView::packed(pa, side, box),
                                       ConstBoxView::packed(pb, side, box))))
             << "total_variation_in width=" << w;
-        if (box.is_full(side))
+        if (box.is_full(side)) {
           EXPECT_EQ(bits(dense_tv),
                     bits(beliefops::total_variation(a, b)));
+        }
       }
       {
         std::vector<double> d(side * side, 0.0), p(box.cell_count());
