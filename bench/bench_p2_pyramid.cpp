@@ -1,10 +1,12 @@
-// P2 — coarse-to-fine pyramid: end-to-end grid-engine speedup gates.
+// P2 — coarse-to-fine pyramid: end-to-end grid-engine work and speed.
 //
 // Runs the grid engine single-level vs pyramid (pyramid_levels = 2) on the
 // default 200-node line-drop scenario and enforces:
 //
-//   grid_side = 48:  speedup printed, not gated; mean error within 1 %
-//   grid_side = 96:  pyramid >= 1.5x faster, mean error within 1 %
+//   grid_side = 48:  work and speedup printed, not gated; mean error
+//                    within 1 %
+//   grid_side = 96:  pyramid >= 2x fewer grid.cell_visits per trial than
+//                    single-level, mean error within 1 %; speedup printed
 //
 // Single-level runs bound every unknown by its prior's support, the same
 // ROI rule as the pyramid's level 0. Before they did, they swept the full
@@ -14,23 +16,32 @@
 // the pyramid's bits stayed put. Nine full 8-trial runs on a shared 4-vCPU
 // x86-64 host now read 1.01-1.31x at 48 (median 1.12x) and 1.53-2.12x
 // at 96 (median 1.82x). At 48 the modes nearly tie and the pyramid takes
-// 22 rounds to single-level's 14, so that ratio is reported only; the 96
-// gate is the median less its spread down to the slowest run, rounded
-// down.
+// 22 rounds to single-level's 14, so that ratio is reported only.
 //
-// Timing uses the best (minimum) per-trial mean across a few repetitions of
-// each configuration — the standard defence against machine jitter; a
-// loaded box can only make a run slower, never faster, so the minimum is
-// the most reproducible estimate of the true cost. Accuracy is averaged
+// The 96 gate was a wall-time one (>= 1.5x on the min over repetitions)
+// until the grid engine began sharing one negative-evidence map per
+// published summary among its two-hop receivers. It moved to work because
+// the ratio spreads too widely on a shared host to gate: nine identical
+// full runs read 1.53-2.12x, and in interleaved fast runs the engine read
+// 1.44-2.07x before the maps (two of six runs failing the gate) and
+// 1.42-2.28x after. grid.cell_visits — one touch per ROI cell per dense
+// belief op — is a deterministic count that the maps do not move: fast
+// sizing reads 9.77e7 single-level against 4.17e7 pyramid per trial
+// (2.34x), and the gate asks for 2x.
+//
+// The printed speedup uses the best (minimum) per-trial mean across a few
+// repetitions of each configuration — a loaded box can only make a run
+// slower, never faster, so the minimum is the most reproducible estimate
+// of the true cost. Accuracy is averaged
 // over bc.trials scenario draws per repetition, so the error gate sees the
 // same aggregate both engines report everywhere else.
 //
 // A pyramid run schedules its early rounds on a coarse ladder rung (48 ->
 // 24, 96 -> 48), restarts each finer rung from the node priors inside a
 // region of interest located by the upsampled coarse posterior, and caps
-// transitional summary payloads — see docs/ARCHITECTURE.md. The speedup is
-// a genuine end-to-end number: same scenarios, same iteration budget, same
-// convergence tolerance.
+// transitional summary payloads — see docs/ARCHITECTURE.md. Work and
+// speedup are genuine end-to-end numbers: same scenarios, same iteration
+// budget, same convergence tolerance.
 #include "bench_common.hpp"
 
 #include <cstdint>
@@ -101,14 +112,17 @@ int main() {
   // repetitions, but not the network.
   bc.nodes = std::max<std::size_t>(bc.nodes, 200);
   const ScenarioConfig base = default_scenario(bc);
-  print_banner("P2", "coarse-to-fine pyramid speedup gates", bc, base);
+  print_banner("P2", "coarse-to-fine pyramid work and speed gates", bc,
+               base);
   BenchJson bj("P2", bc);
 
   struct Gate {
     std::size_t side;
-    double min_speedup;  ///< 0: the speedup is reported, not gated
+    /// Least single-level / pyramid grid.cell_visits ratio; 0: reported,
+    /// not gated.
+    double min_work_ratio;
   };
-  const Gate gates[] = {{48, 0.0}, {96, 1.5}};
+  const Gate gates[] = {{48, 0.0}, {96, 2.0}};
   const std::size_t reps = bc.fast ? 2 : 3;
   struct Work {
     std::size_t side;
@@ -119,7 +133,7 @@ int main() {
 
   std::printf("simd dispatch: %s\n\n", simd::active_name());
   AsciiTable t({"grid_side", "variant", "mean/R", "q90/R", "best ms/run",
-                "speedup", "gate"});
+                "speedup", "work ratio", "gate"});
   bool ok = true;
   for (const Gate& g : gates) {
     GridBnclConfig single;
@@ -135,22 +149,25 @@ int main() {
 
     const double speedup =
         mp.best_seconds > 0.0 ? ms.best_seconds / mp.best_seconds : 0.0;
-    const bool speed_ok = speedup >= g.min_speedup;
+    const double work_ratio =
+        mp.cell_visits > 0.0 ? ms.cell_visits / mp.cell_visits : 0.0;
+    const bool work_ok = work_ratio >= g.min_work_ratio;
     const bool error_ok = mp.row.error.mean <= ms.row.error.mean * 1.01;
-    ok = ok && speed_ok && error_ok;
-    const char* speed_verdict = g.min_speedup <= 0.0 ? "speed not gated"
-                                : speed_ok           ? "speed ok"
-                                                     : "SPEED FAIL";
+    ok = ok && work_ok && error_ok;
+    const char* work_verdict = g.min_work_ratio <= 0.0 ? "work not gated"
+                               : work_ok               ? "work ok"
+                                                       : "WORK FAIL";
 
     t.add_row({std::to_string(g.side), "single",
                AsciiTable::fmt(ms.row.error.mean, 4),
                AsciiTable::fmt(ms.row.error.q90, 4),
-               AsciiTable::fmt(ms.best_seconds * 1e3, 1), "1.00", ""});
+               AsciiTable::fmt(ms.best_seconds * 1e3, 1), "1.00", "1.00",
+               ""});
     t.add_row({"", "pyramid L2", AsciiTable::fmt(mp.row.error.mean, 4),
                AsciiTable::fmt(mp.row.error.q90, 4),
                AsciiTable::fmt(mp.best_seconds * 1e3, 1),
-               AsciiTable::fmt(speedup, 2),
-               std::string(speed_verdict) + ", " +
+               AsciiTable::fmt(speedup, 2), AsciiTable::fmt(work_ratio, 2),
+               std::string(work_verdict) + ", " +
                    (error_ok ? "error ok" : "ERROR FAIL")});
     work.push_back({g.side, ms, mp});
   }
@@ -177,9 +194,10 @@ int main() {
                   lvl, wk.pyramid.levels[lvl].first,
                   wk.pyramid.levels[lvl].second);
   }
-  std::printf("gates: >=%.1fx at 96 (48 reported only), pyramid mean error "
-              "within 1%% of single-level\n",
-              gates[1].min_speedup);
+  std::printf("gates: >=%.1fx fewer cell visits at 96 (48 and every speedup "
+              "reported only), pyramid mean error within 1%% of "
+              "single-level\n",
+              gates[1].min_work_ratio);
   if (!ok) {
     std::printf("FAIL: pyramid acceptance gate not met\n");
     return EXIT_FAILURE;

@@ -164,22 +164,56 @@ struct NodeWork {
   std::uint64_t msgs_computed = 0, msgs_reused = 0, prods_reused = 0;
   /// Work accounting (the gate currency of the perf benches): each dense
   /// belief op over the node's ROI charges one visit per cell touched; each
-  /// computed message charges summary cells × kernel stamps.
+  /// computed link message, and each negative-evidence map built from the
+  /// node's own summary, charges summary cells × kernel stamps. A non-link
+  /// message read off a map charges no stamps.
   std::uint64_t cell_visits = 0, kernel_cells = 0;
   std::uint64_t quorum_held = 0;
 };
 
+/// One far node's negative evidence at one summary version: the non-link
+/// message m(x) = 1 - min(1, sum_y b(y) * p_link(|x - y|)) over the box a
+/// replay of that summary touches on the whole grid, row-major. Outside
+/// the box m = 1. A replay gives each cell the same additions in the same
+/// order whatever box clips it (RangeKernel::accumulate), so every
+/// receiver's non-link message from this summary is the map restricted to
+/// its ROI, bit for bit. Immutable once built and shared: the level's map
+/// store, and every cached slot that integrated this version, hold it.
+struct NegativeMap {
+  std::uint64_t ver = 0;
+  std::size_t side = 0;
+  CellBox box;
+  std::vector<double> cells;
+
+  [[nodiscard]] ConstBoxView view() const noexcept {
+    return ConstBoxView::packed(cells, side, box);
+  }
+};
+
+/// The cells of `a` inside `b`; the one empty CellBox{} when they miss.
+CellBox intersect(const CellBox& a, const CellBox& b) noexcept {
+  const CellBox c{std::max(a.x0, b.x0), std::min(a.x1, b.x1),
+                  std::max(a.y0, b.y0), std::min(a.y1, b.y1)};
+  return c.empty() ? CellBox{} : c;
+}
+
 /// One input slot's cached message: the summary version it was computed
 /// from (0: none), whether it had support, and its support box inside the
-/// receiver's ROI with the message's cells there, row-major. Outside the
-/// box the message is its slot kind's outside value (MessageBuffers). The
-/// cells' storage only grows within a level, so a slot holds as many cells
-/// as its largest message of the level.
+/// receiver's ROI. A link keeps the message's cells there, row-major; their
+/// storage only grows within a level, so a slot holds as many cells as its
+/// largest message of the level. A non-link keeps no cells, only the map it
+/// integrated, which it reads over the box. Outside the box the message is
+/// its slot kind's outside value (MessageBuffers).
 struct SlotMessage {
   std::uint64_t ver = 0;
   bool skip = false;
   CellBox box;
   std::vector<double> cells;
+  std::shared_ptr<const NegativeMap> map;
+
+  [[nodiscard]] ConstBoxView view(std::size_t side) const noexcept {
+    return map ? map->view().sub(box) : ConstBoxView::packed(cells, side, box);
+  }
 };
 
 /// One thread's dense message buffers, one per slot kind, each laid out
@@ -231,6 +265,9 @@ class GridRun {
   using SlotInput = Transport<SparseBelief>::Input;
 
   [[nodiscard]] SlotInput input(std::size_t s) const noexcept;
+  /// What a non-link whose far node is `far` serves: the far node's newest
+  /// summary while it is usable as negative evidence.
+  [[nodiscard]] SlotInput nonlink_input(std::size_t far) const noexcept;
   /// Calls fn(slot) for node i's slots in product order: links, then
   /// non-links. The floating-point product depends on that order.
   template <typename Fn>
@@ -239,6 +276,7 @@ class GridRun {
     for (std::size_t s = nl_off_[i]; s < nl_off_[i + 1]; ++s) fn(s);
   }
   void decide_publish(std::size_t u, std::vector<std::uint32_t>& order);
+  void build_map(std::size_t far);
   void update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w);
   std::optional<CellBox> compute_message(std::size_t s, const SlotInput& in,
                                          BoxView buf, NodeWork& w);
@@ -256,6 +294,7 @@ class GridRun {
   std::unique_ptr<ThreadPool> pool_;  ///< node-parallel phases; null: serial
   std::vector<std::size_t> link_off_, nl_off_;
   std::vector<std::size_t> far_;  ///< non-link slot's far node
+  std::vector<std::size_t> map_nodes_;  ///< distinct far nodes, ascending
   std::size_t n_links_ = 0, n_slots_ = 0;
   // Published summaries (the "network state") live in the transport, which
   // serves each receiver-side slot its view of them. Each summary carries
@@ -295,6 +334,9 @@ class GridRun {
   std::optional<BeliefStore> prior_, belief_, staged_, last_pub_;
   std::optional<BeliefStore> product_;  ///< whole-product reuse
   std::vector<SlotMessage> msg_;        ///< message cache, per slot
+  /// Negative-evidence map per far node, for its newest usable summary
+  /// (null: none usable). Built by update()'s map pass, then only read.
+  std::vector<std::shared_ptr<const NegativeMap>> neg_map_;
   std::optional<KernelCache> kcache_;
   std::vector<const RangeKernel*> link_kernel_;  ///< per link slot
   RangeKernel conn_kernel_;                      ///< non-link messages
@@ -344,6 +386,10 @@ GridRun::GridRun(const GridBnclConfig& config, const Scenario& scenario,
       nl_off_[i + 1] = nl_off_[i] + nonlinks[i].size();
       far_.insert(far_.end(), nonlinks[i].begin(), nonlinks[i].end());
     }
+    map_nodes_ = far_;
+    std::sort(map_nodes_.begin(), map_nodes_.end());
+    map_nodes_.erase(std::unique(map_nodes_.begin(), map_nodes_.end()),
+                     map_nodes_.end());
   }
   n_slots_ = nl_off_[n_];
   if (config.sched.policy == SchedulePolicy::residual)
@@ -359,12 +405,15 @@ GridRun::SlotInput GridRun::input(std::size_t s) const noexcept {
     const auto [src, ver] = transport_.input(s);
     return {src != nullptr && !src->empty() ? src : nullptr, ver};
   }
+  return nonlink_input(far_[s - n_links_]);
+}
+
+GridRun::SlotInput GridRun::nonlink_input(std::size_t far) const noexcept {
   // A non-link reads the far node's newest summary (two-hop summaries are
   // not on the radio at all; the non-link factor is an idealization under
   // either transport). With a TTL active a dead node's frozen summary stops
   // being usable here as well. The coverage gate depends only on the
   // summary, so the version alone identifies the contribution.
-  const std::size_t far = far_[s - n_links_];
   if (config_.robustness.stale_ttl > 0 && transport_.crashed(far))
     return {nullptr, kStale};
   const auto [src, ver] = transport_.newest(far);
@@ -391,6 +440,9 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
   last_pub_.reset();
   product_.reset();
   msg_.clear();
+  // A version names a map within one level only: the level switch rewrites
+  // summaries under their old versions.
+  neg_map_.assign(n_, nullptr);
   kcache_.reset();
 
   // --- Belief state at this level -----------------------------------------
@@ -529,20 +581,20 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
   // One entry per input slot, holding the last message computed for it and
   // the summary version it came from. A message is a pure function of
   // (kernel, summary), so replaying the stored copy is bit-identical to
-  // recomputing it. An entry holds only the message's support box inside
-  // the receiver's ROI (SlotMessage); receivers that act as anchors consume
-  // nothing and hold no cells. The budget tests the worst case, every
-  // slot's message filling its receiver's ROI, so whether a level degrades
-  // to recompute (counted in `grid.message_cache.degraded`) does not depend
-  // on the messages. Rebuilt per level: a message computed at one
-  // resolution means nothing at another.
+  // recomputing it. A link entry holds only the message's support box
+  // inside the receiver's ROI (SlotMessage); a non-link entry holds no
+  // cells, only the shared map it read; receivers that act as anchors
+  // consume nothing and hold no cells. The budget tests the worst case,
+  // every link slot's message filling its receiver's ROI, so whether a
+  // level degrades to recompute (counted in `grid.message_cache.degraded`)
+  // does not depend on the messages. Rebuilt per level: a message computed
+  // at one resolution means nothing at another.
   reuse_ = config_.reuse_messages;
   if (reuse_) {
     std::size_t worst_cells = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (roles_.acts_anchor(i)) continue;
-      for_slots(i, [&](std::size_t) { worst_cells += roi_[i].cell_count(); });
-    }
+    for (std::size_t i = 0; i < n_; ++i)
+      if (!roles_.acts_anchor(i))
+        worst_cells += (link_off_[i + 1] - link_off_[i]) * roi_[i].cell_count();
     if (worst_cells * sizeof(double) >
         config_.message_cache_mb * std::size_t{1024} * 1024) {
       reuse_ = false;
@@ -764,10 +816,46 @@ void GridRun::schedule() {
 void GridRun::update() {
   std::fill(work_.begin(), work_.end(), NodeWork{});
   const obs::Span update_span("grid.update");
+  // Map pass: one negative-evidence map per far node and summary version,
+  // instead of one replay per two-hop receiver. Each far node writes only
+  // its own map and work entry; the sweep below only reads the maps.
+  for_node_chunks(pool_.get(), map_nodes_.size(),
+                  [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t k = begin; k < end; ++k)
+                      build_map(map_nodes_[k]);
+                  });
   for_node_chunks(pool_.get(), n_, [&](std::size_t begin, std::size_t end) {
     MessageBuffers bufs(shape_.cell_count());
     for (std::size_t i = begin; i < end; ++i) update_node(i, bufs, work_[i]);
   });
+}
+
+// Rebuild node `far`'s map when its usable summary changed version; drop it
+// when none is usable. A map an older version left behind stays alive while
+// a cached (deferred) slot still refers to it.
+void GridRun::build_map(std::size_t far) {
+  const SlotInput in = nonlink_input(far);
+  std::shared_ptr<const NegativeMap>& held = neg_map_[far];
+  if (in.payload == nullptr) {
+    held.reset();
+    return;
+  }
+  if (held != nullptr && held->ver == in.ver) return;
+  const std::size_t side = shape_.side;
+  auto map = std::make_shared<NegativeMap>();
+  map->ver = in.ver;
+  map->side = side;
+  map->box = conn_kernel_.touched_box(*in.payload, CellBox::full(side), side);
+  map->cells.assign(map->box.cell_count(), 0.0);
+  conn_kernel_.accumulate(*in.payload,
+                          BoxView::packed(map->cells, side, map->box));
+  // m(x) = 1 - P(link | x), capped at 1 (kernel overlap can exceed it
+  // slightly on coarse grids).
+  for (double& v : map->cells) v = std::max(0.0, 1.0 - std::min(v, 1.0));
+  work_[far].kernel_cells +=
+      static_cast<std::uint64_t>(in.payload->cells.size()) *
+      conn_kernel_.stamp_count();
+  held = std::move(map);
 }
 
 void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
@@ -831,8 +919,7 @@ void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
       const BoxView buf = BoxView::packed(link ? bufs.link : bufs.nonlink,
                                           shape_.side, roi_[i]);
       const auto replay = [&](const SlotMessage& m) {
-        beliefops::copy_in(ConstBoxView::packed(m.cells, shape_.side, m.box),
-                           buf.sub(m.box));
+        beliefops::copy_in(m.view(shape_.side), buf.sub(m.box));
         return m.box;
       };
       std::optional<CellBox> support;
@@ -881,34 +968,29 @@ void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
 // is on. Returns the support box it wrote, or nothing when the message has
 // no support — a link whose kernel correlation put no mass in range (its
 // skip bit is cached with it; `buf` is already restored). A non-link
-// message always has support.
+// message is its far node's map over the ROI and always has support.
 std::optional<CellBox> GridRun::compute_message(std::size_t s,
                                                 const SlotInput& in,
                                                 BoxView buf, NodeWork& w) {
-  const bool link = s < n_links_;
-  const RangeKernel& kernel = link ? *link_kernel_[s] : conn_kernel_;
   ++w.msgs_computed;
+  if (s >= n_links_) {
+    const std::shared_ptr<const NegativeMap>& map =
+        neg_map_[far_[s - n_links_]];
+    BNLOC_ASSERT(map != nullptr && map->ver == in.ver &&
+                     map->side == shape_.side,
+                 "negative-evidence map read at the wrong version or grid");
+    const CellBox box = intersect(map->box, buf.box);
+    beliefops::copy_in(map->view().sub(box), buf.sub(box));
+    if (reuse_) msg_[s] = {in.ver, false, box, {}, map};
+    return box;
+  }
+  const RangeKernel& kernel = *link_kernel_[s];
   w.kernel_cells += static_cast<std::uint64_t>(in.payload->cells.size()) *
                     kernel.stamp_count();
   // The replay writes only inside this box; outside it `buf` already holds
   // the message.
   const CellBox box = kernel.touched_box(*in.payload, buf.box, shape_.side);
-  const BoxView cells = buf.sub(box);
-  bool support = true;
-  if (link) {
-    support = kernel.correlate_zeroed(*in.payload, buf, box) > 0.0;
-  } else {
-    // m(x) = 1 - P(link | x), capped at 1 (kernel overlap can exceed it
-    // slightly on coarse grids). Element-wise, so only the touched box is
-    // cleared and transformed: outside it P(link | x) = 0 and m = 1.
-    beliefops::fill_in(cells, 0.0);
-    kernel.accumulate(*in.payload, buf);
-    for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-      double* const row = cells.row(y);
-      for (std::size_t t = 0; t < box.width(); ++t)
-        row[t] = std::max(0.0, 1.0 - std::min(row[t], 1.0));
-    }
-  }
+  const bool support = kernel.correlate_zeroed(*in.payload, buf, box) > 0.0;
   if (reuse_) {
     SlotMessage& m = msg_[s];
     m.ver = in.ver;
@@ -920,7 +1002,7 @@ std::optional<CellBox> GridRun::compute_message(std::size_t s,
                        BoxView::packed(m.cells, shape_.side, m.box));
   }
   if (!support) {
-    beliefops::fill_in(cells, 0.0);
+    beliefops::fill_in(buf.sub(box), 0.0);
     return std::nullopt;
   }
   return box;
@@ -996,12 +1078,22 @@ bool GridRun::close_round(LocalizationResult& result,
 }
 
 void GridRun::count_state_bytes() {
-  std::size_t cache_cells = 0;
-  for (const SlotMessage& m : msg_) cache_cells += m.cells.capacity();
+  std::size_t held_cells = 0;
+  // Each live map once, whether the map store or cached slots hold it.
+  std::vector<const NegativeMap*> maps;
+  for (const auto& map : neg_map_)
+    if (map) maps.push_back(map.get());
+  for (const SlotMessage& m : msg_) {
+    held_cells += m.cells.capacity();
+    if (m.map) maps.push_back(m.map.get());
+  }
+  std::sort(maps.begin(), maps.end());
+  maps.erase(std::unique(maps.begin(), maps.end()), maps.end());
+  for (const NegativeMap* map : maps) held_cells += map->cells.capacity();
   obs::count("grid.state_bytes",
              prior_->bytes() + belief_->bytes() + staged_->bytes() +
                  last_pub_->bytes() + (product_ ? product_->bytes() : 0) +
-                 cache_cells * sizeof(double));
+                 held_cells * sizeof(double));
 }
 
 void GridRun::emit_estimates(LocalizationResult& result) {

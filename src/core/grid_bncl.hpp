@@ -69,7 +69,11 @@ struct GridBnclConfig {
   /// j's range"). In a Bayesian network over the deployment, the *absence*
   /// of an edge is evidence too; it prunes mirror-image ghost modes and is
   /// the single largest tail-error reduction in the engine (see F12).
-  /// Each node folds in at most 12 non-link factors.
+  /// Each node folds in at most 12 non-link factors. A far node's factor
+  /// is the same map for every receiver, so the engine builds it once per
+  /// published summary version and level (one connectivity-kernel replay
+  /// over the box the summary touches) and each receiver reads it over its
+  /// region of interest, bit-identical to a per-receiver replay.
   bool use_negative_evidence = true;
   bool map_estimate = false;        ///< MAP cell instead of MMSE mean.
 
@@ -123,26 +127,32 @@ struct GridBnclConfig {
   /// Reuse a link's incoming message verbatim while the sender's published
   /// summary is unchanged (rebroadcast suppression already tracks this) —
   /// the message is a pure function of (kernel, summary), so recomputing it
-  /// every round is wasted work. Costs one cache entry per directed link
-  /// (and non-link): the message's support box — its summary's cells
-  /// dilated by the kernel footprint, clipped to the receiver's region of
-  /// interest — and the cells inside it. Outside that box a link message is
-  /// exactly 0 and a non-link message exactly 1, so nothing more is kept.
+  /// every round is wasted work. Costs one cache entry per directed link:
+  /// the message's support box — its summary's cells dilated by the kernel
+  /// footprint, clipped to the receiver's region of interest — and the
+  /// cells inside it; outside that box a link message is exactly 0. A
+  /// non-link's entry holds no cells, only a reference to the shared
+  /// negative-evidence map it read (see `use_negative_evidence`), which
+  /// keeps that map alive while the entry is replayed.
   bool reuse_messages = true;
   /// Upper bound on the message cache, per level. The budget checks the
-  /// worst case, every slot's message filling its receiver's ROI (receivers
-  /// that act as anchors hold none), so a pyramid level costs its summed
-  /// ROI cells, not links × side², and the decision does not depend on the
-  /// messages; the cache itself holds only support boxes, typically far
-  /// less. A level whose worst case exceeds the budget degrades to
-  /// recompute (correct, just slower; the residual scheduler degrades with
-  /// it) and is counted in the `grid.message_cache.degraded` obs counter.
+  /// worst case, every link slot's message filling its receiver's ROI
+  /// (receivers that act as anchors hold none), so a pyramid level costs
+  /// its summed ROI cells, not links × side², and the decision does not
+  /// depend on the messages; the cache itself holds only support boxes,
+  /// typically far less. Non-link slots hold no cells and are not charged;
+  /// the negative-evidence maps they read (one per far node and live
+  /// summary version, kept with the cache on or off) count in
+  /// `grid.state_bytes`, not against this budget. A level whose worst case
+  /// exceeds the budget degrades to recompute (correct, just slower; the
+  /// residual scheduler degrades with it) and is counted in the
+  /// `grid.message_cache.degraded` obs counter.
   std::size_t message_cache_mb = 256;
 
   /// Worker threads for the node-parallel phases within a round (the
   /// per-node parallelism pilot, F14 part B; extended in PR5). Three phases
-  /// split across the pool: the Jacobi belief update (including the
-  /// negative-evidence message construction, which lives inside it), the
+  /// split across the pool: the Jacobi belief update (including its first
+  /// pass, which builds the negative-evidence maps, one far node each), the
   /// publish phase's decide/sparsify pass, and the staged→current belief
   /// commit. All are independent across nodes — each reads the round-start
   /// summaries and writes only its own slots — and the order-sensitive

@@ -8,7 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <random>
 #include <vector>
+
+#include "support/simd.hpp"
 
 namespace bnloc {
 namespace {
@@ -204,6 +207,102 @@ TEST(RangeKernel, CorrelateZeroedMatchesCorrelateInsideTouchedBox) {
                                CellBox{}),
             0.0);
   for (const double v : untouched) ASSERT_EQ(v, kSentinel);
+}
+
+// A replay clipped to a box gives every in-box cell the same additions, in
+// the same order, as the whole-grid replay: the grid engine builds one
+// negative-evidence map per summary over the box the summary touches and
+// serves every receiver that map restricted to its ROI, so the identity
+// must hold bit for bit whichever replay path runs — the whole grid's
+// interior offset loop, vector runs or border-clipped scalar runs, or the
+// box-clipped axpys — in every SIMD mode and under any -march (the build
+// pins -ffp-contract=off on the kernel for this). Covers range and
+// connectivity kernels, random summaries anywhere on the grid, the full
+// box, an interior box, a box on two grid borders and each summary's own
+// touched box, in the dense and the packed layout.
+TEST(RangeKernel, SubBoxReplayMatchesWholeGridBitForBit) {
+  constexpr std::size_t side = 48;
+  const GridShape shape{Aabb::unit(), side};
+  // A thick annulus and the connectivity disk have long runs (the whole
+  // grid's vector-run path in vector modes); a thin annulus has short ones
+  // (its offset loop in every mode).
+  const RangeKernel kernels[] = {
+      RangeKernel::make_range(0.2, gaussian_spec(0.1, 0.25), shape),
+      RangeKernel::make_range(0.3, gaussian_spec(0.01, 0.35), shape),
+      RangeKernel::make_connectivity(
+          make_radio(0.12, RangingType::gaussian, 0.1), shape),
+  };
+  ASSERT_GE(kernels[0].stamp_count(), 8 * kernels[0].run_count());
+  ASSERT_LT(kernels[1].stamp_count(), 8 * kernels[1].run_count());
+  ASSERT_GE(kernels[2].stamp_count(), 8 * kernels[2].run_count());
+  for (const RangeKernel& k : kernels) ASSERT_GT(k.stamp_count(), 0u);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  std::mt19937_64 gen(20071);
+  std::uniform_int_distribution<std::uint32_t> cell_dist(0, side * side - 1);
+  std::uniform_int_distribution<std::size_t> size_dist(1, 24);
+  std::uniform_real_distribution<float> mass_dist(0.01F, 1.0F);
+  std::vector<SparseBelief> summaries(60);
+  for (SparseBelief& src : summaries) {
+    // Distinct cells, as a sparsified belief has.
+    const std::size_t size = size_dist(gen);
+    while (src.cells.size() < size) {
+      const std::uint32_t c = cell_dist(gen);
+      if (std::find(src.cells.begin(), src.cells.end(), c) != src.cells.end())
+        continue;
+      src.cells.push_back(c);
+      src.mass.push_back(mass_dist(gen));
+    }
+  }
+
+  const struct RestoreMode {
+    simd::Mode session = simd::active_mode();
+    ~RestoreMode() { simd::set_mode(session); }
+  } restore;
+  std::vector<simd::Mode> modes{simd::Mode::scalar};
+  for (const simd::Mode want :
+       {simd::Mode::sse2, simd::Mode::avx2, simd::Mode::neon}) {
+    simd::set_mode(want);
+    if (std::find(modes.begin(), modes.end(), simd::active_mode()) ==
+        modes.end())
+      modes.push_back(simd::active_mode());
+  }
+
+  for (const simd::Mode mode : modes) {
+    simd::set_mode(mode);
+    for (const RangeKernel& k : kernels) {
+      for (const SparseBelief& src : summaries) {
+        std::vector<double> whole(side * side, 0.0);
+        k.accumulate(src, whole, side);
+        const CellBox boxes[] = {
+            CellBox::full(side),
+            CellBox{9, 38, 12, 35},                       // interior
+            CellBox{0, 21, 30, 47},                       // on two borders
+            k.touched_box(src, CellBox::full(side), side),  // a map's box
+        };
+        for (const CellBox& box : boxes) {
+          ASSERT_FALSE(box.empty());
+          for (const bool packed : {false, true}) {
+            std::vector<double> buf(packed ? box.cell_count() : side * side,
+                                    0.0);
+            const BoxView view = packed ? BoxView::packed(buf, side, box)
+                                        : BoxView::dense(buf, side, box);
+            k.accumulate(src, view);
+            for (std::int32_t y = box.y0; y <= box.y1; ++y)
+              for (std::int32_t x = box.x0; x <= box.x1; ++x) {
+                const double want =
+                    whole[static_cast<std::size_t>(y) * side +
+                          static_cast<std::size_t>(x)];
+                ASSERT_EQ(bits(view.row(y)[x - box.x0]), bits(want))
+                    << simd::active_name() << " x=" << x << " y=" << y
+                    << " box=(" << box.x0 << "," << box.x1 << "," << box.y0
+                    << "," << box.y1 << ") packed=" << packed;
+              }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ConnectivityKernel, DiskOfLinkProbability) {

@@ -242,13 +242,14 @@ TEST(GridBnclSched, AsyncReplayIsBitIdenticalAcrossThreads) {
 // and 4 threads and with telemetry (counters, trace and spans) on and off
 // must agree bit for bit, and the combination must really have run:
 // deferred links, and no level whose message cache — the store deferred
-// links replay from — fell back to recompute. Returns the serial run.
+// links replay from — fell back to recompute. `sink` receives the observed
+// run's telemetry. Returns the serial run.
 LocalizationResult expect_pyramid_schedule_is_deterministic(
-    GridBnclConfig gc) {
+    GridBnclConfig gc, obs::Telemetry& sink,
+    const ScenarioConfig& scfg = scenario_config(61)) {
   gc.grid_side = 42;
   gc.pyramid_levels = 2;
-  const Scenario s = build_scenario(scenario_config(61));
-  obs::Telemetry sink;
+  const Scenario s = build_scenario(scfg);
   sink.spans_enabled = true;
   LocalizationResult observed;
   {
@@ -279,7 +280,8 @@ LocalizationResult expect_pyramid_schedule_is_deterministic(
 }
 
 TEST(GridBnclSched, PyramidWithResidualPolicyIsDeterministic) {
-  expect_pyramid_schedule_is_deterministic(residual_config());
+  obs::Telemetry sink;
+  expect_pyramid_schedule_is_deterministic(residual_config(), sink);
 }
 
 TEST(GridBnclSched, PyramidWithResidualPolicyAsyncReplayIsDeterministic) {
@@ -287,7 +289,26 @@ TEST(GridBnclSched, PyramidWithResidualPolicyAsyncReplayIsDeterministic) {
   gc.transport.async = true;
   gc.transport.radio.loss = 0.1;
   gc.transport.radio.latency = 0.25;
-  EXPECT_NE(expect_pyramid_schedule_is_deterministic(gc).transport_hash, 0u);
+  obs::Telemetry sink;
+  EXPECT_NE(expect_pyramid_schedule_is_deterministic(gc, sink).transport_hash,
+            0u);
+}
+
+// Negative evidence through crashes, reboots and the stale TTL: a far
+// node's summary version resets when it reboots and its map is dropped
+// while it is dead, a deferred non-link replays the older map it
+// integrated while the map store has moved on, and the level switch
+// rebuilds every map on the finer grid. The helper asserts the deferrals.
+TEST(GridBnclSched, PyramidWithResidualPolicyUnderCrashesIsDeterministic) {
+  ScenarioConfig scfg = scenario_config(61);
+  scfg.faults.crash_fraction = 0.2;
+  scfg.faults.reboot_fraction = 0.5;
+  GridBnclConfig gc = residual_config();
+  ASSERT_TRUE(gc.use_negative_evidence);
+  gc.robustness.stale_ttl = 3;
+  obs::Telemetry sink;
+  expect_pyramid_schedule_is_deterministic(gc, sink, scfg);
+  EXPECT_GT(sink.registry.counter("grid.reboots"), 0u);
 }
 
 TEST(GridBnclSched, FaultedAccuracyStaysAtParityWithRoundRobin) {
