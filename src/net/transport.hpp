@@ -47,6 +47,7 @@
 #include "net/async_radio.hpp"
 #include "net/comm_stats.hpp"
 #include "net/sync_radio.hpp"
+#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -134,8 +135,9 @@ class Transport {
 
   /// Advance one round: draw the link layer's deliveries, wipe rebooted
   /// nodes' RAM, and record which slots were heard. Serial only — all of
-  /// the transport's randomness happens here.
+  /// the transport's randomness happens here. Timed as `radio.round`.
   void begin_round() {
+    const obs::Span round_span("radio.round");
     if (async_)
       begin_async_round();
     else
