@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,5 +41,22 @@ class Graph {
   std::vector<std::size_t> offsets_;  ///< size n_+1
   std::vector<Neighbor> entries_;
 };
+
+// Directed link slots. Entry k of v's neighbor list is slot offset(v) + k,
+// where offset(v) sums the degrees of the nodes before v: the
+// receiver-grouped CSR that the radios, the transport and the engines index
+// links by. Slot offset(v) + k carries the link neighbors(v)[k] -> v.
+
+/// For every slot, the slot of the opposite direction: for s carrying
+/// u -> v, the slot carrying v -> u (with parallel edges, the first such
+/// entry of u's list). Built by a scan of each sender's list, in
+/// O(sum of squared degrees).
+[[nodiscard]] std::vector<std::uint32_t> reverse_slots(const Graph& g);
+
+/// Undirected link index of every slot, given `reverse = reverse_slots(g)`:
+/// both directions of a link share one index, and indices are numbered in
+/// the order the slots first reach each neighbor pair.
+[[nodiscard]] std::vector<std::uint32_t> undirected_links(
+    std::span<const std::uint32_t> reverse);
 
 }  // namespace bnloc

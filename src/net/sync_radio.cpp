@@ -1,5 +1,7 @@
 #include "net/sync_radio.hpp"
 
+#include <algorithm>
+
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 
@@ -27,15 +29,7 @@ SyncRadio::SyncRadio(const Graph& graph, double loss, Rng rng,
   for (std::size_t v = 0; v < n; ++v)
     offsets_[v + 1] = offsets_[v] + graph.degree(v);
   delivered_.assign(offsets_.back(), 1);
-  slot_of_.reserve(offsets_.back());
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto nbs = graph.neighbors(v);
-    for (std::size_t k = 0; k < nbs.size(); ++k)
-      slot_of_.emplace(static_cast<std::uint64_t>(nbs[k].node) *
-                               static_cast<std::uint64_t>(n) +
-                           static_cast<std::uint64_t>(v),
-                       offsets_[v] + k);
-  }
+  if (loss_ > 0.0) reverse_ = reverse_slots(graph);
 }
 
 void SyncRadio::begin_round() {
@@ -50,15 +44,6 @@ void SyncRadio::begin_round() {
     drops += flag ? 0 : 1;
   }
   if (drops) obs::count("radio.links_dropped", drops);
-}
-
-std::size_t SyncRadio::link_slot(std::size_t from, std::size_t to) const {
-  const auto it = slot_of_.find(static_cast<std::uint64_t>(from) *
-                                    static_cast<std::uint64_t>(
-                                        graph_->node_count()) +
-                                static_cast<std::uint64_t>(to));
-  BNLOC_ASSERT(it != slot_of_.end(), "delivered() queried for a non-link");
-  return it->second;
 }
 
 std::size_t SyncRadio::crashed_count() const noexcept {
@@ -78,9 +63,13 @@ void SyncRadio::record_broadcast(std::size_t node, std::size_t bytes) {
   if (crashed(node)) return;  // a dead node transmits nothing
   ++stats_.messages_sent;
   stats_.bytes_sent += bytes;
-  std::size_t received = 0;
-  for (const Neighbor& nb : graph_->neighbors(node))
-    if (delivered(node, nb.node)) ++received;
+  // The reverse of node's incoming slot k carries node -> its k-th neighbor.
+  std::size_t received = graph_->degree(node);
+  if (loss_ > 0.0) {
+    received = 0;
+    for (std::size_t s = offsets_[node]; s < offsets_[node + 1]; ++s)
+      received += delivered_[reverse_[s]];
+  }
   stats_.messages_received += received;
   obs::count("radio.broadcasts");
   obs::count("radio.bytes_sent", bytes);
@@ -90,7 +79,13 @@ void SyncRadio::record_broadcast(std::size_t node, std::size_t bytes) {
 bool SyncRadio::delivered(std::size_t from, std::size_t to) const {
   if (crashed(from)) return false;
   if (loss_ <= 0.0) return true;
-  return delivered_[link_slot(from, to)] != 0;
+  const auto nbs = graph_->neighbors(to);
+  const auto it =
+      std::find_if(nbs.begin(), nbs.end(),
+                   [from](const Neighbor& nb) { return nb.node == from; });
+  BNLOC_ASSERT(it != nbs.end(), "delivered() queried for a non-link");
+  const auto k = static_cast<std::size_t>(it - nbs.begin());
+  return delivered_[offsets_[to] + k] != 0;
 }
 
 }  // namespace bnloc

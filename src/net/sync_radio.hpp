@@ -3,7 +3,7 @@
 //
 // Model: time advances in rounds. In a round every participating node
 // broadcasts one summary packet; each directed link (u -> v) independently
-// delivers or drops it. Engines query `delivered(u, v)` to decide whether v
+// delivers or drops it. Engines query `delivered_slot` to decide whether v
 // sees u's *current* belief this round or must keep using the last copy it
 // received. This is the textbook abstraction of a TDMA/gossip localization
 // protocol and is what lets F12 study loss robustness without a full MAC
@@ -18,8 +18,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/adjacency.hpp"
@@ -50,11 +50,12 @@ class SyncRadio {
 
   /// Did the broadcast of `from` reach `to` this round? Only meaningful for
   /// neighbors; non-neighbors never hear each other. Stable within a round.
+  /// O(degree of `to`): the slot is found by a scan of `to`'s neighbors.
   [[nodiscard]] bool delivered(std::size_t from, std::size_t to) const;
 
   /// delivered(from, to) addressed by the link's receiver-side CSR slot
-  /// (slot offsets[to] + k carries `to`'s k-th neighbor, `from`): O(1), no
-  /// map lookup — the form the per-slot reads on the engines' hot path use.
+  /// (slot offsets[to] + k carries `to`'s k-th neighbor, `from`): O(1) —
+  /// the form the per-slot reads on the engines' hot path use.
   [[nodiscard]] bool delivered_slot(std::size_t from,
                                     std::size_t slot) const noexcept {
     if (crashed(from)) return false;
@@ -84,10 +85,6 @@ class SyncRadio {
   [[nodiscard]] double loss() const noexcept { return loss_; }
 
  private:
-  /// Dense index of directed link (from, to) into delivered_; O(1) via the
-  /// reverse slot map built at construction.
-  [[nodiscard]] std::size_t link_slot(std::size_t from, std::size_t to) const;
-
   const Graph* graph_;
   double loss_;
   Rng rng_;
@@ -95,9 +92,9 @@ class SyncRadio {
   // neighbor) pair in graph order.
   std::vector<std::size_t> offsets_;
   std::vector<unsigned char> delivered_;
-  // Reverse slot map: encoded directed pair (from * n + to) -> slot. Built
-  // once so delivered() is O(1) instead of an O(degree) neighbor scan.
-  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
+  // Per slot, the slot of the opposite direction (reverse_slots), so a
+  // broadcast counts its deliveries without a lookup. Built only with loss.
+  std::vector<std::uint32_t> reverse_;
   std::vector<std::size_t> death_rounds_;   ///< empty = nobody crashes.
   std::vector<std::size_t> reboot_rounds_;  ///< empty = crashes are final.
   CommStats stats_;
