@@ -1,4 +1,4 @@
-// P1 — grid fast path: kernel cache + SoA message correlation + reuse.
+// P1 — grid fast path: kernel cache + SoA message correlation.
 //
 // Measures the PR's fast-path layers at the default configuration (48-cell
 // grid, 200-node line-drop scenario) and checks the contract that makes
@@ -14,10 +14,6 @@
 //     border check and scattered write — the seed implementation,
 //     reproduced below) vs the PR's scanline-run replay. Outputs are
 //     compared bit for bit; this is the ≥ 2× acceptance headline.
-//  C. whole engine — GridBncl with message reuse on (the default) vs off
-//     (reuse_messages = false), comparing the telemetry
-//     "grid.level" phase time and asserting every aggregate statistic of
-//     the two runs is exactly equal.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -91,19 +87,12 @@ double compute_message_new(const RangeKernel& k, const SparseBelief& src,
   return k.correlate(src, out, side);
 }
 
-double rounds_seconds_per_trial(const obs::RunTelemetry& rt,
-                                std::size_t trials) {
-  return rt.aggregate.registry.timer_seconds("grid.level") /
-         static_cast<double>(trials);
-}
-
 }  // namespace
 
 int main() {
   const BenchConfig bc = BenchConfig::from_env();
-  ScenarioConfig cfg = default_scenario(bc);
-  print_banner("P1", "grid fast path: kernel cache + message reuse", bc, cfg);
-  BenchJson bj("P1", bc);
+  const ScenarioConfig cfg = default_scenario(bc);
+  print_banner("P1", "grid fast path: kernel cache + run replay", bc, cfg);
 
   const Scenario scenario = build_scenario(cfg);
   const GridBnclConfig gc;  // defaults: 48-cell grid
@@ -251,68 +240,5 @@ int main() {
     }
   }
 
-  // --- C: whole engine, fast path on vs off -------------------------------
-  {
-    GridBnclConfig fast_cfg;  // default: reuse on
-    GridBnclConfig slow_cfg;
-    slow_cfg.reuse_messages = false;
-    const GridBncl fast_engine(fast_cfg);
-    const GridBncl slow_engine(slow_cfg);
-
-    RunOptions opt;  // serial trials: clean per-phase timing
-    obs::RunTelemetry fast_rt, slow_rt;
-    fast_rt.aggregate.trace_enabled = slow_rt.aggregate.trace_enabled = false;
-
-    opt.telemetry = &slow_rt;
-    const AggregateRow slow_row = run_algorithm(slow_engine, cfg, bc.trials, opt);
-    opt.telemetry = &fast_rt;
-    const AggregateRow fast_row = run_algorithm(fast_engine, cfg, bc.trials, opt);
-    bj.add(slow_row, "part=C,fast=0");
-    bj.add(fast_row, "part=C,fast=1");
-
-    const double slow_ms = rounds_seconds_per_trial(slow_rt, bc.trials) * 1e3;
-    const double fast_ms = rounds_seconds_per_trial(fast_rt, bc.trials) * 1e3;
-    const auto& reg = fast_rt.aggregate.registry;
-
-    std::printf("C: whole engine (\"grid.level\" phase), %zu trials\n",
-                bc.trials);
-    AsciiTable t({"variant", "rounds ms/tr", "msgs computed", "msgs reused",
-                  "speedup"});
-    t.add_row({"fast off", AsciiTable::fmt(slow_ms, 1),
-               std::to_string(slow_rt.aggregate.registry.counter(
-                   "grid.messages.computed")),
-               "0", "1.00"});
-    t.add_row({"fast on", AsciiTable::fmt(fast_ms, 1),
-               std::to_string(reg.counter("grid.messages.computed")),
-               std::to_string(reg.counter("grid.messages.reused")),
-               AsciiTable::fmt(fast_ms > 0.0 ? slow_ms / fast_ms : 0.0, 2)});
-    t.print(std::cout);
-    std::printf("kernels: %llu built, %llu shared; products reused: %llu\n",
-                static_cast<unsigned long long>(
-                    reg.counter("grid.kernels.built")),
-                static_cast<unsigned long long>(
-                    reg.counter("grid.kernels.shared")),
-                static_cast<unsigned long long>(
-                    reg.counter("grid.products.reused")));
-    // Work accounting: the counters behind the speedup. The reuse layer
-    // shows up directly as fewer kernel cells scanned per trial.
-    const auto& slow_reg = slow_rt.aggregate.registry;
-    std::printf("work/trial: fast off %.0f cell visits, %.0f kernel cells; "
-                "fast on %.0f cell visits, %.0f kernel cells\n",
-                static_cast<double>(slow_reg.counter("grid.cell_visits")) /
-                    static_cast<double>(bc.trials),
-                static_cast<double>(slow_reg.counter("grid.kernel_cells")) /
-                    static_cast<double>(bc.trials),
-                static_cast<double>(reg.counter("grid.cell_visits")) /
-                    static_cast<double>(bc.trials),
-                static_cast<double>(reg.counter("grid.kernel_cells")) /
-                    static_cast<double>(bc.trials));
-
-    if (!same_summaries(fast_row, slow_row)) {
-      std::printf("FAIL: fast path changed aggregate output\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("bit-identity: fast on/off aggregates exactly equal\n");
-  }
   return EXIT_SUCCESS;
 }

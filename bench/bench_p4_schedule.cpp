@@ -13,9 +13,10 @@
 // schedule is decided by a serial scan over per-round pure reads, so the
 // thread count must not be able to change a single decision).
 //
-// Why the work falls: a deferred link replays its cached message (one box
-// multiply, same as an ordinary reused message), so the per-link saving is
-// only the kernel correlation — the cell-visit win comes from *receivers
+// Why the work falls: round-robin rebuilds every unknown from all of its
+// inputs every round, and a deferred link replays its cached message (one
+// box multiply, the cost of any input), so the per-link saving is only the
+// kernel correlation — the cell-visit win comes from *receivers
 // whose every changed input was deferred* collapsing to the whole-product
 // fast path (3 box ops instead of the full rebuild's ~(links+4)). That is
 // why the engine feeds the scheduler receiver-coherent priorities (all of
@@ -69,10 +70,6 @@ GridBnclConfig policy_config(std::size_t side, SchedulePolicy policy) {
   GridBnclConfig gc;
   gc.grid_side = side;
   gc.sched.policy = policy;
-  // Both policies get the same cache headroom: at grid 96 the default
-  // 256 MB budget degrades message reuse (and the scheduler degrades with
-  // it, correctly — but then there is nothing to measure).
-  gc.message_cache_mb = 512;
   return gc;
 }
 

@@ -11,15 +11,19 @@ same bench (appended over time), the *last* run wins.
 Accuracy and protocol metrics (error statistics, coverage, messages, bytes,
 iterations) are gated: a relative drift beyond --rel-tol (default 0, i.e.
 exact — the repo's determinism contract says reruns of the same code
-reproduce them bit-for-bit) fails the diff. Timing columns (seconds,
-wall_seconds) are noisy by nature, so they are reported but only gated when
---time-tol is given.
+reproduce them bit-for-bit) fails the diff, whichever way it goes. Timing
+columns (seconds, wall_seconds) are noisy by nature, so they are only gated
+when --time-tol is given, and then one-sided: the slowdown current/baseline
+- 1 must not exceed it (--time-tol 3.0 fails a row past 4x slower), and a
+speedup never fails. A baseline row the current file lacks fails the diff
+too: a bench that stops emitting rows must not pass for an unchanged one.
 
 Usage:
   bench_diff.py BASELINE.json CURRENT.json [--rel-tol X] [--time-tol X]
       [--bench ID]
 
-Exit status 0 when no gated metric drifts; 1 otherwise.
+Exit status 0 when no gated metric drifts and no baseline row is missing;
+1 otherwise.
 """
 
 import argparse
@@ -59,6 +63,17 @@ def rel_drift(base, cur):
     return abs(cur - base) / denom
 
 
+def slowdown(base, cur):
+    """cur / base - 1: how much slower the current timing is; <= 0 when it
+    is no slower. A zero baseline is slowed down without bound by any
+    positive time."""
+    if cur <= base:
+        return 0.0
+    if base <= 0.0:
+        return float("inf")
+    return cur / base - 1.0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -90,13 +105,13 @@ def main():
     printed_header = False
     for key in shared:
         b, c = base[key], cur[key]
-        checks = [(m, args.rel_tol) for m in GATED]
+        checks = [(m, args.rel_tol, rel_drift) for m in GATED]
         if args.time_tol is not None:
-            checks += [(m, args.time_tol) for m in TIMING]
-        for metric, tol in checks:
+            checks += [(m, args.time_tol, slowdown) for m in TIMING]
+        for metric, tol, measure in checks:
             if metric not in b or metric not in c:
                 continue
-            drift = rel_drift(float(b[metric]), float(c[metric]))
+            drift = measure(float(b[metric]), float(c[metric]))
             if drift <= tol:
                 continue
             if not printed_header:
@@ -109,13 +124,13 @@ def main():
             violations += 1
 
     for key in only_base:
-        print(f"bench_diff: note: {key} only in baseline")
+        print(f"bench_diff: FAIL: {key} missing from current")
     for key in only_cur:
         print(f"bench_diff: note: {key} only in current")
     print(f"bench_diff: {len(shared)} matched rows, "
-          f"{violations} drifting metrics"
+          f"{violations} drifting metrics, {len(only_base)} missing rows"
           + (f", rel-tol {args.rel_tol}" if args.rel_tol else ", exact"))
-    if violations:
+    if violations or only_base:
         return 1
     return 0
 

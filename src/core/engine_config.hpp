@@ -69,21 +69,21 @@ struct RobustnessConfig {
 /// ordering follows the hierarchical scheduling argument of
 /// arXiv:1509.02534).
 enum class SchedulePolicy {
-  /// Process every changed link every round — the paper's broadcast
-  /// semantics and the historical engine behavior, bit for bit.
+  /// Integrate every link every round — the paper's broadcast semantics
+  /// and the historical engine behavior, bit for bit.
   round_robin,
   /// Process only the top-residual fraction of this round's *changed*
   /// links; the rest replay their cached message and integrate the new
-  /// summary in a later round. Links whose sender went quiet cost nothing
-  /// either way (the PR 4 short circuit); this policy extends that gate
-  /// from "skip unchanged senders" to "defer barely-changed senders".
+  /// summary in a later round. Links whose sender went quiet replay their
+  /// cached message too; this policy extends that from "skip unchanged
+  /// senders" to "defer barely-changed senders".
   residual,
 };
 
 /// Residual-prioritized scheduling knobs (inference/scheduler.hpp),
-/// shared by every engine that adopts the policy. Grid-engine constraint:
-/// `residual` requires `reuse_messages` (a deferred link replays its cached
-/// message — without the cache there is nothing to replay).
+/// shared by every engine that adopts the policy. In the grid engine
+/// `residual` also owns the message and product caches a deferred link
+/// replays from; `round_robin` runs hold neither.
 struct ScheduleConfig {
   SchedulePolicy policy = SchedulePolicy::round_robin;
   /// Fraction of this round's changed links granted integration, in

@@ -26,9 +26,6 @@ std::string GridBnclConfig::validate() const {
   if (std::string why = robustness.validate(); !why.empty())
     return "robustness." + why;
   if (sched.policy == SchedulePolicy::residual) {
-    if (!reuse_messages)
-      return "sched.policy residual requires reuse_messages: a deferred "
-             "link replays its cached message";
     if (std::string why = sched.validate(); !why.empty())
       return "sched." + why;
   }
@@ -197,13 +194,14 @@ CellBox intersect(const CellBox& a, const CellBox& b) noexcept {
   return c.empty() ? CellBox{} : c;
 }
 
-/// One input slot's cached message: the summary version it was computed
-/// from (0: none), whether it had support, and its support box inside the
-/// receiver's ROI. A link keeps the message's cells there, row-major; their
-/// storage only grows within a level, so a slot holds as many cells as its
-/// largest message of the level. A non-link keeps no cells, only the map it
-/// integrated, which it reads over the box. Outside the box the message is
-/// its slot kind's outside value (MessageBuffers).
+/// One input slot's cached message (residual policy only): the summary
+/// version it was computed from (0: none), whether it had support, and its
+/// support box inside the receiver's ROI. A link keeps the message's cells
+/// there, row-major; their storage only grows within a level, so a slot
+/// holds as many cells as its largest message of the level. A non-link
+/// keeps no cells, only the map it integrated, which it reads over the box.
+/// Outside the box the message is its slot kind's outside value
+/// (MessageBuffers).
 struct SlotMessage {
   std::uint64_t ver = 0;
   bool skip = false;
@@ -234,8 +232,8 @@ struct MessageBuffers {
 /// Input slots: every factor a node multiplies into its belief has one
 /// slot. Node i's links sit at [link_off_[i], link_off_[i+1]) in CSR order
 /// (the transport's own slot numbering); after all links, its two-hop
-/// non-links sit at [nl_off_[i], nl_off_[i+1]). The message cache, the
-/// product signatures and the scheduler all index this one space, and
+/// non-links sit at [nl_off_[i], nl_off_[i+1]). The scheduler and its
+/// caches (messages, product signatures) index this one space, and
 /// for_slots visits a node's slots in product order.
 class GridRun {
  public:
@@ -278,6 +276,8 @@ class GridRun {
   void decide_publish(std::size_t u, std::vector<std::uint32_t>& order);
   void build_map(std::size_t far);
   void update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w);
+  std::optional<CellBox> cached_message(std::size_t s, BoxView buf,
+                                        NodeWork& w);
   std::optional<CellBox> compute_message(std::size_t s, const SlotInput& in,
                                          BoxView buf, NodeWork& w);
   void emit_estimates(LocalizationResult& result);
@@ -332,19 +332,18 @@ class GridRun {
   char visits_name_[48] = {};
   std::vector<CellBox> roi_;
   std::optional<BeliefStore> prior_, belief_, staged_, last_pub_;
-  std::optional<BeliefStore> product_;  ///< whole-product reuse
-  std::vector<SlotMessage> msg_;        ///< message cache, per slot
   /// Negative-evidence map per far node, for its newest usable summary
   /// (null: none usable). Built by update()'s map pass, then only read.
   std::vector<std::shared_ptr<const NegativeMap>> neg_map_;
   std::optional<KernelCache> kcache_;
   std::vector<const RangeKernel*> link_kernel_;  ///< per link slot
   RangeKernel conn_kernel_;                      ///< non-link messages
-  bool reuse_ = false;         ///< message cache on at this level
-  bool sched_active_ = false;  ///< residual policy with the cache on
+  // The residual scheduler's caches, empty under round-robin: what each
+  // node's last rebuild consumed, so a deferred slot can replay it.
+  std::optional<BeliefStore> product_;  ///< each node's last product
   std::vector<unsigned char> have_product_;
-  // Per-slot signature of what the node's last recompute consumed.
-  std::vector<std::uint64_t> in_sig_;
+  std::vector<SlotMessage> msg_;        ///< last message, per slot
+  std::vector<std::uint64_t> in_sig_;   ///< last integrated signature, per slot
 };
 
 GridRun::GridRun(const GridBnclConfig& config, const Scenario& scenario,
@@ -577,48 +576,25 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
                      ? RangeKernel::make_connectivity(scenario_.radio, shape_)
                      : RangeKernel();
 
-  // --- Message cache ------------------------------------------------------
-  // One entry per input slot, holding the last message computed for it and
-  // the summary version it came from. A message is a pure function of
-  // (kernel, summary), so replaying the stored copy is bit-identical to
-  // recomputing it. A link entry holds only the message's support box
-  // inside the receiver's ROI (SlotMessage); a non-link entry holds no
-  // cells, only the shared map it read; receivers that act as anchors
-  // consume nothing and hold no cells. The budget tests the worst case,
-  // every link slot's message filling its receiver's ROI, so whether a
-  // level degrades to recompute (counted in `grid.message_cache.degraded`)
-  // does not depend on the messages. Rebuilt per level: a message computed
-  // at one resolution means nothing at another.
-  reuse_ = config_.reuse_messages;
-  if (reuse_) {
-    std::size_t worst_cells = 0;
-    for (std::size_t i = 0; i < n_; ++i)
-      if (!roles_.acts_anchor(i))
-        worst_cells += (link_off_[i + 1] - link_off_[i]) * roi_[i].cell_count();
-    if (worst_cells * sizeof(double) >
-        config_.message_cache_mb * std::size_t{1024} * 1024) {
-      reuse_ = false;
-      obs::count("grid.message_cache.degraded");
-    } else {
-      msg_.resize(n_slots_);
-    }
-  }
-  // Residual scheduling needs the message cache to replay deferred links
-  // from; when the memory budget degraded `reuse_` above, the scheduler
-  // degrades with it — every changed link processes, still correct. A
-  // level switch wipes the deferral debt: the per-level caches restart,
-  // so every slot's first integration at this resolution must process.
-  sched_active_ = sched_ && reuse_;
-  if (sched_) sched_->reset_level();
-
-  // Whole-product reuse: a node whose *every* input is unchanged since its
-  // last recompute (same summary versions, same delivery/TTL outcomes)
-  // would rebuild the exact same pre-damping message product — so that
-  // product is kept per node and replayed outright, skipping the whole
-  // message loop. Cheap (one extra belief per node) so not under the slot
-  // budget; in late rounds, when rebroadcast suppression quiets most of the
-  // network, this collapses the round cost to a copy + damping per node.
-  if (config_.reuse_messages) {
+  // --- The residual scheduler's caches ------------------------------------
+  // A deferred slot keeps contributing the message of the version it last
+  // integrated, so under the residual policy each input slot caches that
+  // message and the summary version it came from. A message is a pure
+  // function of (kernel, summary), so replaying the stored copy is
+  // bit-identical to recomputing it. A link entry holds only the message's
+  // support box inside the receiver's ROI (SlotMessage), so the cache grows
+  // with links × ROI, like the beliefs; a non-link entry holds no cells,
+  // only the shared map it read; receivers that act as anchors consume
+  // nothing and hold no cells. A receiver whose every changed input was
+  // deferred rebuilds the exact same pre-damping product, so that product
+  // is kept per node and replayed outright, skipping the message loop.
+  // Round-robin integrates every input every round and keeps neither. The
+  // caches restart per level — a message computed at one resolution means
+  // nothing at another — and so does the deferral debt: every slot's first
+  // integration at this resolution must process.
+  if (sched_) {
+    sched_->reset_level();
+    msg_.resize(n_slots_);
     product_.emplace(shape_, roi_);
     have_product_.assign(n_, 0);
     in_sig_.assign(n_slots_, kNeverIntegrated);
@@ -655,17 +631,18 @@ void GridRun::reboot() {
     const std::span<double> lp = (*last_pub_)[r];
     std::fill(lp.begin(), lp.end(), 0.0);
     transport_.reset(r, 0, SparseBelief{});
-    if (config_.reuse_messages) have_product_[r] = 0;
     // Residual policy: a fresh boot owes nothing and is owed nothing — its
-    // input signatures reset to "never integrated", so every slot counts
-    // as first-heard (always processed, never a deferral candidate) until
-    // the rebuilt belief has integrated each neighbor once. Guarded so
-    // round_robin runs keep the historical state untouched bit for bit.
-    if (sched_active_)
+    // cached product goes, and its input signatures reset to "never
+    // integrated", so every slot counts as first-heard (always processed,
+    // never a deferral candidate) until the rebuilt belief has integrated
+    // each neighbor once.
+    if (sched_) {
+      have_product_[r] = 0;
       for_slots(r, [&](std::size_t s) {
         in_sig_[s] = kNeverIntegrated;
         sched_->reset_slot(s);
       });
+    }
     gate_.rearm(r);
     obs::count("grid.reboots");
   }
@@ -780,7 +757,7 @@ void GridRun::publish() {
 // any such transition rebuilds this round regardless, so its other changed
 // slots are granted too rather than pointlessly deferred.
 void GridRun::schedule() {
-  if (!sched_active_) return;
+  if (!sched_) return;
   const obs::Span sched_span("grid.sched");
   sched_->begin_round();
   for (std::size_t i = 0; i < n_; ++i) {
@@ -876,18 +853,18 @@ void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
   });
   if (held) {
     w.quorum_held = 1;
-    if (config_.reuse_messages) have_product_[i] = 0;
+    if (sched_) have_product_[i] = 0;
     return;
   }
 
   const BoxView next = staged_->view(i);
   const ConstBoxView cur = belief_->view(i);
   const std::uint64_t box_cells = roi_[i].cell_count();
-  // Pre-pass: fold this round's inputs into the per-slot signatures. If
-  // every signature is unchanged, the cached product is exact and the
-  // message loop is skipped entirely.
+  // Residual policy pre-pass: fold this round's inputs into the per-slot
+  // signatures. If every signature is unchanged, the cached product is
+  // exact and the message loop is skipped entirely.
   bool static_inputs = false;
-  if (config_.reuse_messages) {
+  if (sched_) {
     static_inputs = have_product_[i] != 0;
     for_slots(i, [&](std::size_t s) {
       // A deferred slot holds its old signature — the cached message keeps
@@ -895,14 +872,14 @@ void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
       // budget (or the starvation floor) lets the new version in. Deferral
       // never reads as silence: the transport's heard rounds come from the
       // radio, not from integration.
-      if (sched_active_ && sched_->deferred(s)) return;
+      if (sched_->deferred(s)) return;
       const std::uint64_t sig = input(s).ver;
       if (in_sig_[s] == sig) return;
       in_sig_[s] = sig;
       static_inputs = false;
       // Folding a real version here is the moment of integration the
       // pending-residual accounting keys on.
-      if (sched_ && is_version(sig)) sched_->integrate(s, sig);
+      if (is_version(sig)) sched_->integrate(s, sig);
     });
   }
 
@@ -918,40 +895,19 @@ void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
       const bool link = s < n_links_;
       const BoxView buf = BoxView::packed(link ? bufs.link : bufs.nonlink,
                                           shape_.side, roi_[i]);
-      const auto replay = [&](const SlotMessage& m) {
-        beliefops::copy_in(m.view(shape_.side), buf.sub(m.box));
-        return m.box;
-      };
       std::optional<CellBox> support;
-      if (sched_active_ && sched_->deferred(s)) {
-        // Deferred slot: replay the message of the last-integrated version
-        // (bit-identical to the round it was computed in) and skip the
-        // kernel work the new summary would cost. The cached entry is that
-        // message exactly when its version matches the held signature;
-        // otherwise the last integration contributed nothing (never heard,
-        // or retired) and neither does the replay.
-        const SlotMessage& m = msg_[s];
-        if (m.ver == 0 || m.ver != in_sig_[s] || m.skip) return;
-        ++w.msgs_reused;
-        support = replay(m);
-      } else {
-        const SlotInput in = input(s);
-        if (in.payload == nullptr) return;
-        if (reuse_ && msg_[s].ver == in.ver) {
-          ++w.msgs_reused;
-          if (msg_[s].skip) return;
-          support = replay(msg_[s]);
-        } else {
-          support = compute_message(s, in, buf, w);
-          if (!support) return;
-        }
+      if (sched_) {
+        support = cached_message(s, buf, w);
+      } else if (const SlotInput in = input(s); in.payload != nullptr) {
+        support = compute_message(s, in, buf, w);
       }
+      if (!support) return;
       w.cell_visits += box_cells;
       pending = beliefops::product_step(next, buf, kMessageFloor, pending);
       beliefops::fill_in(buf.sub(*support), link ? 0.0 : 1.0);
     });
     beliefops::product_finish(next, pending);
-    if (config_.reuse_messages) {
+    if (sched_) {
       // pre-damping: replayable as-is
       copy_belief((*staged_)[i], (*product_)[i]);
       have_product_[i] = 1;
@@ -963,11 +919,49 @@ void GridRun::update_node(std::size_t i, MessageBuffers& bufs, NodeWork& w) {
   w.cell_visits += 3 * box_cells;  // prior copy or replay + mix + residual
 }
 
+// Residual policy: slot s's message through the cache, written into `buf`
+// as compute_message does. A deferred slot replays the message of its
+// last-integrated version (bit-identical to the round it was computed in)
+// and skips the kernel work the new summary would cost; the cached entry is
+// that message exactly when its version matches the held signature,
+// otherwise the last integration contributed nothing (never heard, or
+// retired) and neither does the replay. A slot whose summary version is
+// unchanged replays too; any other slot computes and caches its message.
+std::optional<CellBox> GridRun::cached_message(std::size_t s, BoxView buf,
+                                               NodeWork& w) {
+  SlotMessage& m = msg_[s];
+  const auto replay = [&]() -> std::optional<CellBox> {
+    ++w.msgs_reused;
+    if (m.skip) return std::nullopt;
+    beliefops::copy_in(m.view(shape_.side), buf.sub(m.box));
+    return m.box;
+  };
+  if (sched_->deferred(s)) {
+    if (m.ver == 0 || m.ver != in_sig_[s] || m.skip) return std::nullopt;
+    return replay();
+  }
+  const SlotInput in = input(s);
+  if (in.payload == nullptr) return std::nullopt;
+  if (m.ver == in.ver) return replay();
+  const std::optional<CellBox> support = compute_message(s, in, buf, w);
+  m.ver = in.ver;
+  m.skip = !support;
+  m.box = support.value_or(CellBox{});
+  if (s >= n_links_) {
+    m.map = neg_map_[far_[s - n_links_]];
+  } else {
+    m.cells.reserve(m.box.cell_count());  // exact growth, never shrinks
+    m.cells.resize(m.box.cell_count());
+    beliefops::copy_in(buf.sub(m.box),
+                       BoxView::packed(m.cells, shape_.side, m.box));
+  }
+  return support;
+}
+
 // Build slot s's message from its input into `buf`, its slot kind's
-// buffer over the receiver's ROI, recording it in the cache when the cache
-// is on. Returns the support box it wrote, or nothing when the message has
-// no support — a link whose kernel correlation put no mass in range (its
-// skip bit is cached with it; `buf` is already restored). A non-link
+// buffer over the receiver's ROI. Returns the support box it wrote, or
+// nothing when the message has no support — a link whose kernel
+// correlation put no mass in range (`buf` is already restored). A non-link
 // message is its far node's map over the ROI and always has support.
 std::optional<CellBox> GridRun::compute_message(std::size_t s,
                                                 const SlotInput& in,
@@ -981,7 +975,6 @@ std::optional<CellBox> GridRun::compute_message(std::size_t s,
                  "negative-evidence map read at the wrong version or grid");
     const CellBox box = intersect(map->box, buf.box);
     beliefops::copy_in(map->view().sub(box), buf.sub(box));
-    if (reuse_) msg_[s] = {in.ver, false, box, {}, map};
     return box;
   }
   const RangeKernel& kernel = *link_kernel_[s];
@@ -990,22 +983,9 @@ std::optional<CellBox> GridRun::compute_message(std::size_t s,
   // The replay writes only inside this box; outside it `buf` already holds
   // the message.
   const CellBox box = kernel.touched_box(*in.payload, buf.box, shape_.side);
-  const bool support = kernel.correlate_zeroed(*in.payload, buf, box) > 0.0;
-  if (reuse_) {
-    SlotMessage& m = msg_[s];
-    m.ver = in.ver;
-    m.skip = !support;
-    m.box = support ? box : CellBox{};
-    m.cells.reserve(m.box.cell_count());  // exact growth, never shrinks
-    m.cells.resize(m.box.cell_count());
-    beliefops::copy_in(buf.sub(m.box),
-                       BoxView::packed(m.cells, shape_.side, m.box));
-  }
-  if (!support) {
-    beliefops::fill_in(buf.sub(box), 0.0);
-    return std::nullopt;
-  }
-  return box;
+  if (kernel.correlate_zeroed(*in.payload, buf, box) > 0.0) return box;
+  beliefops::fill_in(buf.sub(box), 0.0);
+  return std::nullopt;
 }
 
 void GridRun::commit() {
@@ -1100,8 +1080,7 @@ void GridRun::emit_estimates(LocalizationResult& result) {
   for (std::size_t i = 0; i < n_; ++i) {
     if (scenario_.is_anchor[i]) continue;
     const std::span<const double> b = belief_->dense(i, dense_scratch_);
-    result.estimates[i] = config_.map_estimate ? beliefops::argmax(shape_, b)
-                                               : beliefops::mean(shape_, b);
+    result.estimates[i] = beliefops::mean(shape_, b);
     result.covariances[i] = beliefops::covariance(shape_, b);
   }
 }

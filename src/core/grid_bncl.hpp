@@ -75,7 +75,6 @@ struct GridBnclConfig {
   /// over the box the summary touches) and each receiver reads it over its
   /// region of interest, bit-identical to a per-receiver replay.
   bool use_negative_evidence = true;
-  bool map_estimate = false;        ///< MAP cell instead of MMSE mean.
 
   /// Fault countermeasures (F13); see core/engine_config.hpp. For this
   /// engine `robust_likelihood` selects the ε-contamination range
@@ -96,17 +95,21 @@ struct GridBnclConfig {
   TransportConfig transport;
 
   /// Message scheduling policy (ROADMAP item 1); see core/engine_config.hpp
-  /// and inference/scheduler.hpp. `round_robin` (default) processes every
-  /// changed link every round — bit-identical to every prior run. With
-  /// `residual` the engine adds a serial scan phase between publish and
-  /// update that ranks the round's changed links by pending residual —
+  /// and inference/scheduler.hpp. `round_robin` (default) rebuilds every
+  /// unknown's belief from every input every round and caches no message.
+  /// With `residual` the engine adds a serial scan phase between publish
+  /// and update that ranks the round's changed links by pending residual —
   /// receiver-coherently: each link carries its receiver's total
   /// unintegrated publish residual, so budget cuts land on receiver
   /// boundaries and whole receivers collapse to the product fast path —
   /// and defers everything below `sched.link_budget_frac`; deferred links
-  /// replay their
-  /// cached message until the budget — or the `sched.starvation_rounds`
-  /// floor — lets the new summary in. Requires `reuse_messages`; rides both
+  /// replay their cached message until the budget — or the
+  /// `sched.starvation_rounds` floor — lets the new summary in. The policy
+  /// owns the caches it replays from: one entry per input slot holding the
+  /// last message's support box inside the receiver's region of interest
+  /// (a non-link's entry holds only the shared negative-evidence map it
+  /// read, see `use_negative_evidence`), plus each node's last product, so
+  /// its memory grows with links × ROI, like the beliefs. Rides both
   /// transports; deterministic at any thread count (the scan is serial, the
   /// update phase only reads the decision bitmap).
   ScheduleConfig sched;
@@ -124,30 +127,6 @@ struct GridBnclConfig {
   /// should prefer `run` for unbounded Monte-Carlo sweeps; the serve layer
   /// enables `process` and trims between batches (docs/SERVICE.md).
   KernelScope kernel_scope = KernelScope::run;
-  /// Reuse a link's incoming message verbatim while the sender's published
-  /// summary is unchanged (rebroadcast suppression already tracks this) —
-  /// the message is a pure function of (kernel, summary), so recomputing it
-  /// every round is wasted work. Costs one cache entry per directed link:
-  /// the message's support box — its summary's cells dilated by the kernel
-  /// footprint, clipped to the receiver's region of interest — and the
-  /// cells inside it; outside that box a link message is exactly 0. A
-  /// non-link's entry holds no cells, only a reference to the shared
-  /// negative-evidence map it read (see `use_negative_evidence`), which
-  /// keeps that map alive while the entry is replayed.
-  bool reuse_messages = true;
-  /// Upper bound on the message cache, per level. The budget checks the
-  /// worst case, every link slot's message filling its receiver's ROI
-  /// (receivers that act as anchors hold none), so a pyramid level costs
-  /// its summed ROI cells, not links × side², and the decision does not
-  /// depend on the messages; the cache itself holds only support boxes,
-  /// typically far less. Non-link slots hold no cells and are not charged;
-  /// the negative-evidence maps they read (one per far node and live
-  /// summary version, kept with the cache on or off) count in
-  /// `grid.state_bytes`, not against this budget. A level whose worst case
-  /// exceeds the budget degrades to recompute (correct, just slower; the
-  /// residual scheduler degrades with it) and is counted in the
-  /// `grid.message_cache.degraded` obs counter.
-  std::size_t message_cache_mb = 256;
 
   /// Worker threads for the node-parallel phases within a round (the
   /// per-node parallelism pilot, F14 part B; extended in PR5). Three phases

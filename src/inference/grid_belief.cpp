@@ -120,11 +120,6 @@ Cov2 covariance(const GridShape& shape,
   return cov;
 }
 
-Vec2 argmax(const GridShape& shape, std::span<const double> mass) noexcept {
-  const auto it = std::max_element(mass.begin(), mass.end());
-  return shape.cell_center(static_cast<std::size_t>(it - mass.begin()));
-}
-
 double entropy(std::span<const double> mass) noexcept {
   double h = 0.0;
   for (double m : mass)

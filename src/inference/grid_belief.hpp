@@ -217,9 +217,6 @@ void normalize(std::span<double> mass) noexcept;
                         std::span<const double> mass) noexcept;
 [[nodiscard]] Cov2 covariance(const GridShape& shape,
                               std::span<const double> mass) noexcept;
-/// Center of the highest-mass cell (the MAP estimate at grid resolution).
-[[nodiscard]] Vec2 argmax(const GridShape& shape,
-                          std::span<const double> mass) noexcept;
 /// Shannon entropy in nats; uniform gives log(cell_count).
 [[nodiscard]] double entropy(std::span<const double> mass) noexcept;
 /// Half L1 distance between two beliefs (total variation), in [0, 1].
@@ -413,10 +410,6 @@ class GridBelief {
   }
   [[nodiscard]] Cov2 covariance() const noexcept {
     return beliefops::covariance(shape_, mass_);
-  }
-  /// Center of the highest-mass cell (the MAP estimate at grid resolution).
-  [[nodiscard]] Vec2 argmax() const noexcept {
-    return beliefops::argmax(shape_, mass_);
   }
   /// Shannon entropy in nats; uniform gives log(cell_count).
   [[nodiscard]] double entropy() const noexcept {

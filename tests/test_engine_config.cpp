@@ -78,11 +78,11 @@ TEST(EngineConfig, GaussianRoundTripsSharedKnobs) {
 
 TEST(EngineConfig, GridFastPathKnobsRoundTrip) {
   GridBnclConfig cfg;
-  cfg.reuse_messages = false;
-  cfg.message_cache_mb = 12;
+  cfg.kernel_scope = KernelScope::process;
+  cfg.threads = 3;
   const GridBncl engine(cfg);
-  EXPECT_FALSE(engine.config().reuse_messages);
-  EXPECT_EQ(engine.config().message_cache_mb, 12u);
+  EXPECT_EQ(engine.config().kernel_scope, KernelScope::process);
+  EXPECT_EQ(engine.config().threads, 3u);
 }
 
 // The names below key experiment tables, BENCH_*.json lines, and trace

@@ -1,7 +1,6 @@
 // Integration tests for the three BNCL engines (core/).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -169,21 +168,6 @@ TEST(GridBncl, NegativeEvidenceReducesTailError) {
             evaluate(s, without).summary.q90);
 }
 
-TEST(GridBncl, MapEstimateOptionChangesOutput) {
-  const Scenario s = build_scenario(default_config(34));
-  GridBnclConfig map_cfg;
-  map_cfg.map_estimate = true;
-  Rng r1(1), r2(1);
-  const auto mmse = GridBncl().localize(s, r1);
-  const auto map = GridBncl(map_cfg).localize(s, r2);
-  bool any_diff = false;
-  for (std::size_t i : s.unknown_indices())
-    any_diff |= distance(*mmse.estimates[i], *map.estimates[i]) > 1e-12;
-  EXPECT_TRUE(any_diff);
-  // Both remain accurate.
-  EXPECT_LT(evaluate(s, map).summary.mean, 0.5);
-}
-
 TEST(GridBncl, FinerGridIsMoreAccurate) {
   ScenarioConfig scfg = default_config(35);
   const Scenario s = build_scenario(scfg);
@@ -294,89 +278,6 @@ TEST(GaussianBncl, ConvergesWithPriors) {
   Rng rng(1);
   const auto r = engine.localize(s, rng);
   EXPECT_TRUE(r.converged);
-}
-
-// The fast path (message and whole-product reuse) must be invisible in the
-// output: every estimate bit-identical with the knob on and off, across
-// packet loss, node-parallel updates, and a tiny cache budget
-// that forces the degrade-to-recompute path.
-TEST(GridBncl, FastPathIsBitIdentical) {
-  const auto run = [](const Scenario& s, GridBnclConfig cfg, bool fast) {
-    cfg.reuse_messages = fast;
-    Rng rng(9);
-    return GridBncl(cfg).localize(s, rng);
-  };
-  const auto expect_same = [](const LocalizationResult& a,
-                              const LocalizationResult& b) {
-    ASSERT_EQ(a.estimates.size(), b.estimates.size());
-    for (std::size_t i = 0; i < a.estimates.size(); ++i) {
-      ASSERT_EQ(a.estimates[i].has_value(), b.estimates[i].has_value());
-      if (a.estimates[i]) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.estimates[i]->x),
-                  std::bit_cast<std::uint64_t>(b.estimates[i]->x));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.estimates[i]->y),
-                  std::bit_cast<std::uint64_t>(b.estimates[i]->y));
-      }
-    }
-    EXPECT_EQ(a.change_per_iteration, b.change_per_iteration);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.comm.messages_sent, b.comm.messages_sent);
-  };
-
-  const Scenario s = build_scenario(default_config(40));
-  {
-    SCOPED_TRACE("default");
-    expect_same(run(s, {}, true), run(s, {}, false));
-  }
-  {
-    SCOPED_TRACE("packet loss");
-    GridBnclConfig cfg;
-    cfg.transport.radio.loss = 0.2;
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    SCOPED_TRACE("node-parallel");
-    GridBnclConfig cfg;
-    cfg.threads = 4;
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    SCOPED_TRACE("budget forces recompute");
-    GridBnclConfig cfg;
-    cfg.message_cache_mb = 0;  // reuse requested but never affordable
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    // Pyramid sides 21 and 42: rows and ROI widths are not multiples of 4,
-    // so the ROI-packed slots exercise every SIMD tail.
-    SCOPED_TRACE("pyramid, odd sides");
-    GridBnclConfig cfg;
-    cfg.grid_side = 42;
-    cfg.pyramid_levels = 2;
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    // Uninformative priors give full level-0 boxes inside a pyramid run.
-    SCOPED_TRACE("pyramid, no pre-knowledge");
-    ScenarioConfig scfg = default_config(40);
-    scfg.prior_quality = PriorQuality::none;
-    const Scenario su = build_scenario(scfg);
-    GridBnclConfig cfg;
-    cfg.grid_side = 42;
-    cfg.pyramid_levels = 2;
-    expect_same(run(su, cfg, true), run(su, cfg, false));
-  }
-  {
-    SCOPED_TRACE("robustness stack");
-    ScenarioConfig scfg = default_config(41);
-    scfg.faults.crash_fraction = 0.1;
-    scfg.faults.outlier_fraction = 0.15;
-    const Scenario sf = build_scenario(scfg);
-    GridBnclConfig cfg;
-    cfg.robustness.robust_likelihood = true;
-    cfg.robustness.stale_ttl = 3;
-    expect_same(run(sf, cfg, true), run(sf, cfg, false));
-  }
 }
 
 }  // namespace

@@ -90,13 +90,6 @@ TEST(GridBelief, MultiplyAllZeroWithoutFloorResetsToUniform) {
   EXPECT_NEAR(b.entropy(), std::log(256.0), 1e-9);
 }
 
-TEST(GridBelief, ArgmaxFindsPeak) {
-  GridBelief b(Aabb::unit(), 32);
-  const auto prior = GaussianPrior::isotropic({0.25, 0.75}, 0.05);
-  b.set_from_prior(*prior);
-  EXPECT_NEAR(distance(b.argmax(), {0.25, 0.75}), 0.0, 0.05);
-}
-
 TEST(GridBelief, TotalVariationProperties) {
   GridBelief a(Aabb::unit(), 16), b(Aabb::unit(), 16);
   EXPECT_DOUBLE_EQ(a.total_variation(b), 0.0);

@@ -506,12 +506,6 @@ TEST(BatchService, EngineInvariantViolationsFailTheRequestNotTheProcess) {
       {"",
        [](ServeRequest& r) {
          r.grid.sched.policy = SchedulePolicy::residual;
-         r.grid.reuse_messages = false;
-       },
-       "reuse_messages"},
-      {"",
-       [](ServeRequest& r) {
-         r.grid.sched.policy = SchedulePolicy::residual;
          r.grid.sched.link_budget_frac = 0.0;
        },
        "sched.link_budget_frac"},
