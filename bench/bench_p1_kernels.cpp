@@ -13,7 +13,8 @@
 //     summaries, with the pre-PR kernel replay (flat stamp list, per-stamp
 //     border check and scattered write — the seed implementation,
 //     reproduced below) vs the PR's scanline-run replay. Outputs are
-//     compared bit for bit; this is the ≥ 2× acceptance headline.
+//     compared bit for bit; this is the ≥ 2× acceptance headline, gated on
+//     the ratio of each replay's fastest repetition, the two alternating.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 using namespace bnloc;
 using namespace bnloc::bench;
@@ -196,20 +198,25 @@ int main() {
         }
     }
 
+    // Timed: each replay is represented by its fastest repetition, since
+    // outside load only ever adds time, and the two alternate per
+    // repetition so that a burst of load cannot fall on one replay only.
     simd::set_mode(session_mode);
     const std::size_t reps = bc.fast ? 5 : 20;
     double sink_old = 0.0, sink_new = 0.0;
-    const Stopwatch old_watch;
-    for (std::size_t r = 0; r < reps; ++r)
+    double old_s = std::numeric_limits<double>::infinity();
+    double new_s = old_s;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const Stopwatch old_watch;
       for (std::size_t m = 0; m < msgs.size(); ++m)
         sink_old += compute_message_old(aos[m], *msgs[m].src, buf_a, side);
-    const double old_s = old_watch.seconds();
-    const Stopwatch new_watch;
-    for (std::size_t r = 0; r < reps; ++r)
+      old_s = std::min(old_s, old_watch.seconds());
+      const Stopwatch new_watch;
       for (std::size_t m = 0; m < msgs.size(); ++m)
         sink_new += compute_message_new(*msgs[m].kernel, *msgs[m].src, buf_b,
-                                    side);
-    const double new_s = new_watch.seconds();
+                                        side);
+      new_s = std::min(new_s, new_watch.seconds());
+    }
     // Checksum tolerance instead of equality: the timed new path runs in
     // the session's dispatch mode, whose peaks may differ from scalar in
     // the last ulps. (Comparing at all also defeats dead-code elimination.)
@@ -219,17 +226,15 @@ int main() {
       return EXIT_FAILURE;
     }
 
-    const double per_old = old_s * 1e6 / static_cast<double>(reps * msgs.size());
-    const double per_new = new_s * 1e6 / static_cast<double>(reps * msgs.size());
+    const double per_old = old_s * 1e6 / static_cast<double>(msgs.size());
+    const double per_new = new_s * 1e6 / static_cast<double>(msgs.size());
     const double speedup = new_s > 0.0 ? old_s / new_s : 0.0;
-    std::printf("B: message stage, %zu messages x %zu reps "
-                "(bit-identical outputs)\n", msgs.size(), reps);
+    std::printf("B: message stage, %zu messages, fastest of %zu alternating "
+                "reps (bit-identical outputs)\n", msgs.size(), reps);
     AsciiTable t({"variant", "ms/round", "us/message", "speedup"});
-    t.add_row({"pre-PR stamp replay",
-               AsciiTable::fmt(old_s * 1e3 / static_cast<double>(reps), 2),
+    t.add_row({"pre-PR stamp replay", AsciiTable::fmt(old_s * 1e3, 2),
                AsciiTable::fmt(per_old, 2), "1.00"});
-    t.add_row({"SoA run replay",
-               AsciiTable::fmt(new_s * 1e3 / static_cast<double>(reps), 2),
+    t.add_row({"SoA run replay", AsciiTable::fmt(new_s * 1e3, 2),
                AsciiTable::fmt(per_new, 2), AsciiTable::fmt(speedup, 2)});
     t.print(std::cout);
     std::printf("message stage speedup: %.2fx (acceptance target >= 2x)\n\n",

@@ -8,6 +8,8 @@
 // theoretic floor for this configuration.
 #include "bench_common.hpp"
 
+#include <cmath>
+
 #include "eval/crlb.hpp"
 
 using namespace bnloc;
@@ -29,8 +31,12 @@ int main() {
   table.print(std::cout);
 
   // Uncertainty calibration of the Bayesian engines (baselines have none).
+  // Inside the 2-sigma ellipse means md^2 <= 4; for a calibrated 2-D
+  // Gaussian md^2 is chi-square with 2 degrees of freedom, so the nominal
+  // share is 1 - e^-2.
   std::printf("\ncalibration (fraction of truths inside the reported "
-              "2-sigma ellipse):\n");
+              "2-sigma ellipse; nominal %.3f = 1 - e^-2 in 2-D):\n",
+              1.0 - std::exp(-2.0));
   for (const auto& algo : suite) {
     const std::string name = algo->name();
     if (name.rfind("bncl", 0) != 0) continue;

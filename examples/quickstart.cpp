@@ -6,6 +6,7 @@
 // Walks through the full API surface: configure a scenario, build it, run
 // GridBncl, evaluate against ground truth, and inspect one node's belief
 // uncertainty.
+#include <cmath>
 #include <cstdio>
 
 #include "bnloc/bnloc.hpp"
@@ -52,9 +53,11 @@ int main() {
               report.coverage * 100.0);
 
   // 5. Bayesian engines also report *how sure* they are, per node.
+  // A calibrated 2-D Gaussian puts 1 - e^-2 of the truths inside 2 sigma.
   const double calib = coverage_within_sigma(scenario, result, 2.0);
   std::printf("calibration: %.0f%% of true positions inside the reported "
-              "2-sigma ellipse\n", calib * 100.0);
+              "2-sigma ellipse (nominal %.1f%%)\n",
+              calib * 100.0, (1.0 - std::exp(-2.0)) * 100.0);
 
   // Peek at the most and least certain unknowns.
   double best = 1e30, worst = -1.0;

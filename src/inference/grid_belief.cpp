@@ -301,38 +301,46 @@ CellBox support_box(std::span<const double> mass, std::size_t side,
 
 namespace {
 
-/// Shared tail of sparsify: partial-sort the candidate offsets into `mass`
-/// already in `order_scratch` by descending mass, keep until the fraction
-/// or cap. `out.cells` receives the kept offsets.
+/// Shared tail of sparsify: walk the candidate offsets into `mass` (in
+/// `order_scratch`) in one total order, mass descending and then offset
+/// ascending, and keep cells until the fraction, the first zero mass or the
+/// cap. `out.cells` receives the kept offsets.
 ///
-/// Tie order: the comparator has no tie-break, so among equal masses the
-/// order is whatever std::partial_sort leaves, which the standard does not
-/// specify. Which tied cells a summary keeps, and their sequence, are
-/// libstdc++'s heap selection, and published summaries and every bit
-/// downstream depend on it. A canonical order (mass descending, then
-/// offset ascending) would change the emitted sequence in 9 of 1,874 calls
-/// of one grid_default-recipe run, and in 319 of 635 of a flat-prior
-/// grid-28 run, where equal masses are common; it and the faster selection
-/// it allows are a deliberate rebaseline of their own.
+/// The order is total, so the kept cells and their sequence depend on the
+/// belief alone, not on the selection algorithm or the standard library.
+/// Offsets order like grid cell ids in both layouts. The walk stops at the
+/// mass target rather than ordering the whole cap: nth_element brings the
+/// next slice of a geometric k (32, 64, ... up to the cap) to the front,
+/// and only that slice is sorted before it is accumulated. A summary keeps
+/// tens of cells out of hundreds of candidates, so one or two slices
+/// usually settle it.
 void select_top(const double* mass, double mass_fraction,
                 std::size_t max_cells, SparseBelief& out,
                 std::vector<std::uint32_t>& order_scratch) {
+  const auto before = [mass](std::uint32_t a, std::uint32_t b) {
+    return mass[a] > mass[b] || (mass[a] == mass[b] && a < b);
+  };
+  const auto at = [&](std::size_t k) {
+    return order_scratch.begin() + static_cast<std::ptrdiff_t>(k);
+  };
   const std::size_t keep_at_most = std::min(max_cells, order_scratch.size());
-  std::partial_sort(
-      order_scratch.begin(),
-      order_scratch.begin() + static_cast<std::ptrdiff_t>(keep_at_most),
-      order_scratch.end(), [&](std::uint32_t a, std::uint32_t b) {
-        return mass[a] > mass[b];
-      });
   out.cells.clear();
   out.mass.clear();
   double covered = 0.0;
-  for (std::size_t k = 0; k < keep_at_most; ++k) {
-    const std::uint32_t cell = order_scratch[k];
-    if (mass[cell] <= 0.0) break;
+  // Keeps one cell; false once the walk stops.
+  const auto keep = [&](std::uint32_t cell) {
+    if (mass[cell] <= 0.0) return false;
     out.cells.push_back(cell);
     covered += mass[cell];
-    if (covered >= mass_fraction) break;
+    return covered < mass_fraction;
+  };
+  bool more = true;
+  for (std::size_t lo = 0, hi = std::min<std::size_t>(32, keep_at_most);
+       more && lo < keep_at_most;
+       lo = hi, hi = std::min(2 * hi, keep_at_most)) {
+    std::nth_element(at(lo), at(hi), order_scratch.end(), before);
+    std::sort(at(lo), at(hi), before);
+    for (std::size_t k = lo; more && k < hi; ++k) more = keep(order_scratch[k]);
   }
   out.covered_fraction = covered;
   out.mass.resize(out.cells.size());
@@ -347,8 +355,7 @@ void sparsify_into(std::span<const double> mass, double mass_fraction,
                    std::vector<std::uint32_t>& order_scratch) {
   BNLOC_ASSERT(mass_fraction > 0.0 && mass_fraction <= 1.0,
                "mass fraction out of range");
-  // Partial selection: cells sorted by descending mass until the target
-  // fraction (or the cap) is reached.
+  // Candidates are the cell ids, so ties keep the lowest ids first.
   order_scratch.resize(mass.size());
   std::iota(order_scratch.begin(), order_scratch.end(), 0U);
   select_top(mass.data(), mass_fraction, max_cells, out, order_scratch);
@@ -365,7 +372,8 @@ void sparsify_in(ConstBoxView mass, double mass_fraction,
   BNLOC_ASSERT(mass_fraction > 0.0 && mass_fraction <= 1.0,
                "mass fraction out of range");
   BNLOC_ASSERT(!mass.box.empty(), "sparsify_in needs a non-empty box");
-  // Candidates are offsets from the first box row, in row-major box order.
+  // Candidates are offsets from the first box row; they order like the
+  // grid cell ids they map to, so both layouts break ties alike.
   order_scratch.clear();
   order_scratch.reserve(mass.box.cell_count());
   const auto w = static_cast<std::uint32_t>(mass.box.width());

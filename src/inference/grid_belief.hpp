@@ -224,10 +224,12 @@ void normalize(std::span<double> mass) noexcept;
                                      std::span<const double> b);
 
 /// Top cells covering `mass_fraction` of probability, capped at
-/// `max_cells`; mass renormalized over the kept cells. Writes into `out`
-/// (cleared first, capacity reused) and uses `order_scratch` for the
-/// partial sort — the allocation-free form the engine's publish loop runs
-/// every round.
+/// `max_cells`; mass renormalized over the kept cells. Cells are taken in
+/// one total order, mass descending and then cell id ascending, until the
+/// fraction, the first zero mass or the cap, so the summary depends on the
+/// belief alone. Writes into `out` (cleared first, capacity reused) and
+/// uses `order_scratch` for the selection — the allocation-free form the
+/// engine's publish loop runs every round.
 void sparsify_into(std::span<const double> mass, double mass_fraction,
                    std::size_t max_cells, SparseBelief& out,
                    std::vector<std::uint32_t>& order_scratch);
@@ -293,11 +295,11 @@ void set_from_prior_in(const GridShape& shape, BoxView mass,
                                   std::size_t side,
                                   double peak_fraction) noexcept;
 
-/// sparsify_into restricted to the box: only box cells are candidates for
-/// the partial sort, offered in row-major box order in either layout (the
-/// tie order of the sort depends on that sequence). With the zero-outside
-/// invariant the selected set is the same as the whole-grid scan's (ties
-/// aside), at box cost. `out.cells` holds grid cell ids.
+/// sparsify_into restricted to the box: only box cells are candidates, in
+/// the same total order (mass descending, then cell id ascending) in either
+/// layout. With the zero-outside invariant the summary is the whole-grid
+/// sparsify_into's bit for bit, at box cost. `out.cells` holds grid cell
+/// ids.
 void sparsify_in(ConstBoxView mass, double mass_fraction,
                  std::size_t max_cells, SparseBelief& out,
                  std::vector<std::uint32_t>& order_scratch);

@@ -168,7 +168,7 @@ SparseBelief upsample_summary(const GridShape& coarse, const GridShape& fine,
   }
   if (total > 0.0)
     for (float& m : out.mass) m = static_cast<float>(m / total);
-  // Sparsify convention: entries ordered by descending mass.
+  // The sparsify order: mass descending, then cell id ascending.
   std::vector<std::uint32_t> order(out.cells.size());
   for (std::uint32_t k = 0; k < order.size(); ++k) order[k] = k;
   std::sort(order.begin(), order.end(),

@@ -55,9 +55,10 @@ void upsample_belief(const GridShape& coarse,
 /// Translate a sparse summary (cell ids + masses) from a coarse grid to a
 /// finer grid over the same field: every source cell is split across the
 /// fine cells it overlaps, collisions merged, masses renormalized, entries
-/// ordered by descending mass (the sparsify convention). Used for crashed
-/// nodes, whose frozen last broadcast must stay usable after a level
-/// switch; this is receiver-local bookkeeping, not new radio traffic.
+/// ordered by descending mass and then ascending cell id (the sparsify
+/// order). Used for crashed nodes, whose frozen last broadcast must stay
+/// usable after a level switch; this is receiver-local bookkeeping, not new
+/// radio traffic.
 [[nodiscard]] SparseBelief upsample_summary(const GridShape& coarse,
                                             const GridShape& fine,
                                             const SparseBelief& src);

@@ -126,6 +126,10 @@ TEST(GridBelief, SparsifyRespectsCap) {
   const SparseBelief sp = b.sparsify(0.999, 50);
   EXPECT_EQ(sp.size(), 50u);
   EXPECT_NEAR(sp.covered_fraction, 50.0 / 1024.0, 1e-9);
+  // Every mass ties, so the lowest cell ids come first, in order.
+  std::vector<std::uint32_t> first(50);
+  std::iota(first.begin(), first.end(), 0U);
+  EXPECT_EQ(sp.cells, first);
 }
 
 TEST(GridBelief, SparsifyCellsAreDescendingByMass) {
@@ -133,8 +137,20 @@ TEST(GridBelief, SparsifyCellsAreDescendingByMass) {
   const auto prior = GaussianPrior::isotropic({0.3, 0.3}, 0.1);
   b.set_from_prior(*prior);
   const SparseBelief sp = b.sparsify(0.9, 64);
-  for (std::size_t k = 1; k < sp.size(); ++k)
+  // An isotropic prior on the diagonal gives cells (x, y) and (y, x) the
+  // same mass; equal masses come in ascending cell id.
+  std::size_t ties = 0;
+  for (std::size_t k = 1; k < sp.size(); ++k) {
     EXPECT_GE(sp.mass[k - 1], sp.mass[k]);
+    const double prev = b.mass()[sp.cells[k - 1]];
+    const double cur = b.mass()[sp.cells[k]];
+    EXPECT_GE(prev, cur);
+    if (prev == cur) {
+      ++ties;
+      EXPECT_LT(sp.cells[k - 1], sp.cells[k]) << "entry " << k;
+    }
+  }
+  EXPECT_GT(ties, 0u);
 }
 
 TEST(GridBelief, CovarianceIncludesCellQuantization) {

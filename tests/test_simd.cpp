@@ -12,6 +12,7 @@
 //    sides here are chosen to leave 1..3 remainder elements per lane width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -495,6 +496,118 @@ TEST_F(SimdModes, PackedViewsMatchDenseViewsBitForBit) {
         kernel.accumulate(src, BoxView::packed(pa, side, box));
         expect_same(da, pa, "accumulate");
       }
+    }
+  }
+}
+
+/// Brute-force sparsify of the box cells of a dense `mass`: std::stable_sort
+/// of every candidate, offered in ascending cell id, by descending mass (so
+/// equal masses stay in ascending id), then the keep rule — the fraction,
+/// the first zero mass, the cap — and the renormalization.
+SparseBelief reference_sparsify(const std::vector<double>& mass,
+                                std::size_t side, const CellBox& box,
+                                double fraction, std::size_t cap) {
+  std::vector<std::uint32_t> order;
+  for (std::int32_t y = box.y0; y <= box.y1; ++y)
+    for (std::int32_t x = box.x0; x <= box.x1; ++x)
+      order.push_back(static_cast<std::uint32_t>(
+          static_cast<std::size_t>(y) * side + static_cast<std::size_t>(x)));
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return mass[a] > mass[b];
+                   });
+  SparseBelief out;
+  double covered = 0.0;
+  for (std::size_t k = 0; k < std::min(cap, order.size()); ++k) {
+    const std::uint32_t cell = order[k];
+    if (mass[cell] <= 0.0) break;
+    out.cells.push_back(cell);
+    covered += mass[cell];
+    if (covered >= fraction) break;
+  }
+  out.covered_fraction = covered;
+  for (const std::uint32_t cell : out.cells)
+    out.mass.push_back(static_cast<float>(mass[cell] / covered));
+  return out;
+}
+
+// The sparsify keeps cells in one total order, mass descending and then
+// cell id ascending, so its summary is the brute-force reference's bit for
+// bit — cells, float masses and covered fraction — whatever slices its
+// early-stopping selection takes: in both layouts of a box, in the
+// whole-buffer form of the same belief, and in every mode. Beliefs drawn
+// from 8 values give long runs of equal mass for the caps to cut through;
+// caps sit at and around the selection's 32-cell first slice and past the
+// candidate count.
+TEST_F(SimdModes, SparsifyMatchesStableSortReference) {
+  constexpr std::size_t side = 24;
+  constexpr std::size_t cells = side * side;
+  const std::vector<double> noise = random_buffer(cells, 1300);
+  const std::pair<const char*, double (*)(double)> beliefs[] = {
+      {"eight values", [](double u) { return 1.0 + std::floor(u * 8.0); }},
+      {"uniform", [](double) { return 1.0; }},
+      // Five of eight draws are exact zeros, the rest take three values.
+      {"zeros",
+       [](double u) { return std::max(0.0, std::floor(u * 8.0) - 4.0); }},
+      // About 3 % positive, so the first zero comes inside the first slice.
+      {"few positive",
+       [](double u) { return u < 0.97 ? 0.0 : std::floor(u * 800.0); }},
+  };
+  const double fractions[] = {0.5, 0.995, 1.0};
+  const std::size_t caps[] = {1, 5, 31, 32, 33, 64, 192, cells + 1};
+
+  for (const CellBox& box : {CellBox::full(side), CellBox{3, 19, 2, 21}}) {
+    for (const auto& [name, value] : beliefs) {
+      // Zero outside the box (the caller invariant), normalized inside.
+      std::vector<double> mass(cells, 0.0);
+      double total = 0.0;
+      for (std::int32_t y = box.y0; y <= box.y1; ++y)
+        for (std::int32_t x = box.x0; x <= box.x1; ++x) {
+          const std::size_t c = static_cast<std::size_t>(y) * side +
+                                static_cast<std::size_t>(x);
+          mass[c] = value(noise[c]);
+          total += mass[c];
+        }
+      for (double& m : mass) m /= total;
+      std::vector<double> packed(box.cell_count());
+      beliefops::copy_in(ConstBoxView::dense(mass, side, box),
+                         BoxView::packed(packed, side, box));
+
+      for (const double fraction : fractions)
+        for (const std::size_t cap : caps) {
+          const SparseBelief ref =
+              reference_sparsify(mass, side, box, fraction, cap);
+          const auto expect_ref = [&](const SparseBelief& got,
+                                      const char* form) {
+            SCOPED_TRACE(testing::Message()
+                         << form << ", " << name << ", box of "
+                         << box.cell_count() << ", fraction " << fraction
+                         << ", cap " << cap << ", mode "
+                         << simd::active_name());
+            EXPECT_EQ(got.cells, ref.cells);
+            ASSERT_EQ(got.mass.size(), ref.mass.size());
+            for (std::size_t k = 0; k < ref.mass.size(); ++k)
+              EXPECT_EQ(std::bit_cast<std::uint32_t>(got.mass[k]),
+                        std::bit_cast<std::uint32_t>(ref.mass[k]))
+                  << "entry " << k;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.covered_fraction),
+                      std::bit_cast<std::uint64_t>(ref.covered_fraction));
+          };
+          for (const simd::Mode m : available_modes()) {
+            simd::set_mode(m);
+            SparseBelief got;
+            std::vector<std::uint32_t> scratch;
+            // Zero outside the box, so the whole buffer gives the same.
+            beliefops::sparsify_into(mass, fraction, cap, got, scratch);
+            expect_ref(got, "sparsify_into");
+            beliefops::sparsify_in(ConstBoxView::dense(mass, side, box),
+                                   fraction, cap, got, scratch);
+            expect_ref(got, "sparsify_in dense");
+            beliefops::sparsify_in(ConstBoxView::packed(packed, side, box),
+                                   fraction, cap, got, scratch);
+            expect_ref(got, "sparsify_in packed");
+          }
+        }
     }
   }
 }
