@@ -1,5 +1,5 @@
-// P3 — bnloc-serve: multi-tenant batch throughput, latency, and the two
-// contracts that make the service safe to share.
+// P3 — bnloc-serve: multi-tenant batch throughput, latency, and the
+// determinism contract that makes the service safe to share.
 //
 //  A. throughput — a ≥64-request mixed-tenant batch (all three engines,
 //     one async-transport request per tenant round) through BatchService:
@@ -11,15 +11,10 @@
 //     error report), at service thread counts 1 and 4. Any mismatch fails
 //     the bench (exit 1). This is the determinism contract of
 //     docs/SERVICE.md, measured rather than asserted.
-//  C. sharing gate — the same grid-heavy batch with the process-global
-//     kernel registry (share_kernels, tenants measuring overlapping
-//     distance sets) vs fully isolated per-request caches. Sharing must
-//     not be slower than isolation (tolerance 15%); the cross-tenant hit
-//     rate is reported from the service's folded `grid.kernels.process.*`
-//     counters.
 //
-// BNLOC_BENCH_JSON appends one line with all three parts (the
-// results/BENCH_PR7.json source; see results/README.md).
+// BNLOC_BENCH_JSON appends one line with both parts (results/BENCH_PR7.json
+// is an older run that also carries a since-retired Part C; see
+// results/README.md).
 #include "bench_common.hpp"
 
 #include <bit>
@@ -93,9 +88,8 @@ bool payload_identical(const serve::ServeResponse& a,
 }
 
 /// A mixed-tenant batch: four tenants round-robin over scenario seeds that
-/// deliberately repeat across tenants (overlapping measured distances →
-/// cross-tenant kernel sharing), grid-heavy with particle/gauss/async
-/// requests mixed in.
+/// deliberately repeat across tenants (co-tenants solving the same world),
+/// grid-heavy with particle/gauss/async requests mixed in.
 std::vector<serve::ServeRequest> make_batch(std::size_t count,
                                             std::size_t nodes,
                                             std::size_t grid_side) {
@@ -134,34 +128,6 @@ std::vector<serve::ServeRequest> make_batch(std::size_t count,
   return batch;
 }
 
-struct ShareTiming {
-  double seconds = 0.0;
-  double hit_rate = 0.0;
-};
-
-/// Best-of-two wall time for a grid-only batch with sharing on or off.
-ShareTiming time_sharing(const std::vector<serve::ServeRequest>& batch,
-                         std::size_t threads, bool share) {
-  ShareTiming best;
-  for (int rep = 0; rep < 2; ++rep) {
-    KernelCacheRegistry::instance().clear();  // cold registry every rep
-    serve::ServeConfig cfg;
-    cfg.threads = threads;
-    cfg.share_kernels = share;
-    cfg.evaluate = false;
-    serve::BatchService service(cfg);
-    (void)service.run_batch(batch);
-    const double wall = service.last_batch().wall_seconds;
-    if (rep == 0 || wall < best.seconds) best.seconds = wall;
-    const double hits =
-        static_cast<double>(service.metrics().counter("grid.kernels.process.hit"));
-    const double misses =
-        static_cast<double>(service.metrics().counter("grid.kernels.process.miss"));
-    if (hits + misses > 0) best.hit_rate = hits / (hits + misses);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
@@ -189,7 +155,6 @@ int main() {
 
   // --- A: throughput ------------------------------------------------------
   const auto batch = make_batch(batch_size, nodes, grid_side);
-  KernelCacheRegistry::instance().clear();
   serve::ServeConfig cfg;
   cfg.threads = serve_threads;
   serve::BatchService service(cfg);
@@ -260,32 +225,6 @@ int main() {
     if (mismatches > 0) identical = false;
   }
   json.kv("identity_ok", identical);
-
-  // --- C: shared vs isolated kernel caches --------------------------------
-  // Grid-only variant of the batch (particle/gauss requests dilute the
-  // cache signal) with the same overlapping-seed structure.
-  auto share_batch = make_batch(batch_size, nodes, grid_side);
-  for (auto& req : share_batch) {
-    req.engine = serve::EngineKind::grid;
-    req.grid.transport.async = false;
-  }
-  const ShareTiming shared = time_sharing(share_batch, serve_threads, true);
-  const ShareTiming isolated = time_sharing(share_batch, serve_threads, false);
-  const double ratio =
-      isolated.seconds > 0.0 ? shared.seconds / isolated.seconds : 1.0;
-  const bool share_ok = ratio <= 1.15;
-  std::printf("\nC. kernel sharing: shared %.3f s vs isolated %.3f s "
-              "(ratio %.3f, gate <= 1.15)%s\n",
-              shared.seconds, isolated.seconds, ratio,
-              share_ok ? "" : "  ** FAIL **");
-  std::printf("   cross-tenant hit rate: %.1f%% of process-scope lookups\n",
-              shared.hit_rate * 100.0);
-  json.key("sharing").begin_object();
-  json.kv("shared_s", shared.seconds);
-  json.kv("isolated_s", isolated.seconds);
-  json.kv("ratio", ratio);
-  json.kv("hit_rate", shared.hit_rate);
-  json.end_object();
   json.end_object();
 
   const std::string path = env_string("BNLOC_BENCH_JSON", "");
@@ -296,11 +235,10 @@ int main() {
     }
   }
 
-  if (!identical || !share_ok) {
-    std::printf("\nFAILED: %s%s\n", identical ? "" : "[identity gate] ",
-                share_ok ? "" : "[sharing gate]");
+  if (!identical) {
+    std::printf("\nFAILED: [identity gate]\n");
     return 1;
   }
-  std::printf("\nOK: identity and sharing gates passed\n");
+  std::printf("\nOK: identity gate passed\n");
   return 0;
 }

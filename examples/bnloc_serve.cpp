@@ -4,9 +4,9 @@
 // demo batch), serves it through serve::BatchService, and streams one JSON
 // result line per request to stdout — in request order, mid-batch — while
 // the human-facing summary (throughput, latency quantiles, per-tenant
-// accounting, kernel-cache sharing) goes to stderr so the stdout stream
-// stays machine-parseable. docs/SERVICE.md documents the full schema; the
-// CI serve-smoke job validates this binary's output against it.
+// accounting) goes to stderr so the stdout stream stays machine-parseable.
+// docs/SERVICE.md documents the full schema; the CI serve-smoke job
+// validates this binary's output against it.
 //
 //   bnloc_serve                      # serve the built-in demo batch
 //   bnloc_serve --demo-batch > b.json# print the demo batch (then edit it)
@@ -27,8 +27,7 @@ namespace {
 
 // The demo batch doubles as the schema's worked example: three tenants,
 // all three engines, an async-transport request, and two tenants measuring
-// the same world (same scenario seed/config) so the cross-tenant kernel
-// sharing shows up in the summary.
+// the same world (same scenario seed/config), which get the same answer.
 constexpr const char* kDemoBatch = R"({"requests": [
   {"tenant": "acme", "id": "floor-2-grid", "engine": "grid",
    "scenario": {"nodes": 60, "anchor_fraction": 0.15, "seed": 11,
@@ -64,10 +63,8 @@ int usage(const char* argv0) {
                "  -              read the batch from stdin\n"
                "  --demo-batch   print the demo batch JSON and exit\n"
                "  --threads N    worker threads (default: hardware)\n"
-               "  --no-share     per-request kernel caches (no cross-tenant "
-               "sharing)\n"
-               "  --repeat N     serve the batch N times (warm-cache/metrics "
-               "runs)\n"
+               "  --repeat N     serve the batch N times (cumulative "
+               "metrics runs)\n"
                "  --metrics-out P  write the folded registry to P as "
                "Prometheus text\n"
                "  --trace-out P    record request spans, write Chrome/Perfetto "
@@ -97,8 +94,6 @@ int main(int argc, char** argv) {
       const auto threads = ++i < argc ? parse_count(argv[i]) : std::nullopt;
       if (!threads) return usage(argv[0]);
       config.threads = *threads;
-    } else if (arg == "--no-share") {
-      config.share_kernels = false;
     } else if (arg == "--repeat") {
       const auto count = ++i < argc ? parse_count(argv[i]) : std::nullopt;
       if (!count) return usage(argv[0]);
@@ -180,14 +175,6 @@ int main(int argc, char** argv) {
                    tenant.total_seconds, tenant.result_bytes_peak,
                    tenant.latency_p50 * 1e3, tenant.latency_p95 * 1e3,
                    tenant.latency_p99 * 1e3);
-    if (service.config().share_kernels) {
-      const auto& totals = batch.kernel_totals;
-      std::fprintf(stderr,
-                   "kernel registry: %zu caches, %zu kernels (%zu built, %zu "
-                   "cross-run hits), ~%zu KiB\n",
-                   totals.caches, totals.kernels, totals.built, totals.shared,
-                   totals.approx_bytes / 1024);
-    }
   }
   if (!metrics_out.empty() &&
       !obs::export_prometheus(metrics_out, service.metrics())) {

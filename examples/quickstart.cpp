@@ -53,11 +53,15 @@ int main() {
               report.coverage * 100.0);
 
   // 5. Bayesian engines also report *how sure* they are, per node.
-  // A calibrated 2-D Gaussian puts 1 - e^-2 of the truths inside 2 sigma.
-  const double calib = coverage_within_sigma(scenario, result, 2.0);
+  // A calibrated 2-D Gaussian puts 1 - e^-1/2 of the truths inside 1 sigma
+  // and 1 - e^-2 inside 2 sigma.
+  const double calib1 = coverage_within_sigma(scenario, result, 1.0);
+  const double calib2 = coverage_within_sigma(scenario, result, 2.0);
   std::printf("calibration: %.0f%% of true positions inside the reported "
-              "2-sigma ellipse (nominal %.1f%%)\n",
-              calib * 100.0, (1.0 - std::exp(-2.0)) * 100.0);
+              "1-sigma ellipse (nominal %.1f%%), %.0f%% inside 2-sigma "
+              "(nominal %.1f%%)\n",
+              calib1 * 100.0, (1.0 - std::exp(-0.5)) * 100.0, calib2 * 100.0,
+              (1.0 - std::exp(-2.0)) * 100.0);
 
   // Peek at the most and least certain unknowns.
   double best = 1e30, worst = -1.0;

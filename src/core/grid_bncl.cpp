@@ -539,39 +539,21 @@ std::size_t GridRun::enter_level(std::size_t lvl) {
 
   // --- Kernels per link slot ----------------------------------------------
   // Kernels are pure functions of the measured distance (the spec and shape
-  // are fixed for the level), so the cache shares one kernel across
+  // are fixed for the level), so this level's cache shares one kernel across
   // symmetric link directions and coincident measurements; receivers that
-  // act as anchors never consume theirs and are skipped outright. `process`
-  // scope swaps the per-run cache for the process-global registry shard of
-  // this (ranging, shape) parameter set: same pure kernels, but
-  // construction cost is shared with every other run in the process.
-  // Per-lookup outcomes are metered so a run can report its own hit rate
-  // against the shared cache.
-  const bool process_scope = config_.kernel_scope == KernelScope::process;
-  KernelCache& cache =
-      process_scope ? KernelCacheRegistry::instance().acquire(ranging_, shape_)
-                    : kcache_.emplace(ranging_, shape_);
+  // act as anchors never consume theirs and are skipped outright. The cache
+  // belongs to the run and is dropped with the level.
+  KernelCache& cache = kcache_.emplace(ranging_, shape_);
   link_kernel_.assign(n_links_, nullptr);
-  std::size_t built = 0;
-  std::size_t shared = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     if (roles_.acts_anchor(i)) continue;
     const auto nbs = scenario_.graph.neighbors(i);
-    for (std::size_t k = 0; k < nbs.size(); ++k) {
-      bool fresh = false;
-      link_kernel_[link_off_[i] + k] = cache.range(nbs[k].weight, &fresh);
-      if (fresh)
-        ++built;
-      else
-        ++shared;
-    }
+    for (std::size_t k = 0; k < nbs.size(); ++k)
+      link_kernel_[link_off_[i] + k] = cache.range(nbs[k].weight);
   }
-  obs::count("grid.kernels.built", built);
-  obs::count("grid.kernels.shared", shared);
-  if (process_scope) {
-    obs::count("grid.kernels.process.miss", built);
-    obs::count("grid.kernels.process.hit", shared);
-  }
+  const KernelCache::Stats kernels = cache.stats();
+  obs::count("grid.kernels.built", kernels.built);
+  obs::count("grid.kernels.shared", kernels.shared);
   conn_kernel_ = config_.use_negative_evidence
                      ? RangeKernel::make_connectivity(scenario_.radio, shape_)
                      : RangeKernel();

@@ -12,7 +12,10 @@
 // pairwise position network — each iteration rebuilds the belief from the
 // prior and the *current* neighbor beliefs, so evidence is not double-
 // counted across iterations. Messages are annulus-kernel correlations
-// (see inference/range_kernel.hpp).
+// (see inference/range_kernel.hpp); each run memoizes its kernels on the
+// exact measured distance in a cache of its own (inference/kernel_cache.hpp),
+// so symmetric links and repeated distances build one kernel, and nothing
+// outlives the run.
 //
 // Protocol economics built in:
 //  * a node stays silent until its belief is concentrated enough to be
@@ -29,17 +32,6 @@
 #include "core/localizer.hpp"
 
 namespace bnloc {
-
-/// Where memoized annulus kernels live (GridBnclConfig::kernel_scope).
-enum class KernelScope {
-  run,      ///< a fresh KernelCache per localize() call (the PR4 behavior).
-  process,  ///< the process-global KernelCacheRegistry: kernels built by
-            ///< any run are reused by every later run with the same
-            ///< ranging spec and grid shape — the serve layer's
-            ///< cross-tenant fast path (docs/SERVICE.md). Bit-identical
-            ///< output either way; kernels are pure functions of
-            ///< (distance, ranging, shape).
-};
 
 struct GridBnclConfig {
   std::size_t grid_side = 48;       ///< cells per field side.
@@ -113,20 +105,6 @@ struct GridBnclConfig {
   /// transports; deterministic at any thread count (the scan is serial, the
   /// update phase only reads the decision bitmap).
   ScheduleConfig sched;
-
-  // --- Fast-path controls (PR4). All bit-identity-preserving: they change
-  // --- wall-clock and memory only, never a single output bit. ------------
-  /// Annulus kernels are always memoized on the exact measured distance and
-  /// shared across links, nodes, and iterations (inference/kernel_cache.hpp);
-  /// the symmetric link measurements alone halve kernel construction. This
-  /// is the scope of that memoization. `run` (default) builds a fresh cache
-  /// per localize() call; `process` consults the process-global
-  /// KernelCacheRegistry so concurrent and successive runs share kernels
-  /// (per-lookup outcomes surface as the `grid.kernels.process.hit/miss`
-  /// obs counters). The registry grows until trimmed — standalone callers
-  /// should prefer `run` for unbounded Monte-Carlo sweeps; the serve layer
-  /// enables `process` and trims between batches (docs/SERVICE.md).
-  KernelScope kernel_scope = KernelScope::run;
 
   /// Worker threads for the node-parallel phases within a round (the
   /// per-node parallelism pilot, F14 part B; extended in PR5). Three phases

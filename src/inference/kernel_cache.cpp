@@ -3,147 +3,22 @@
 namespace bnloc {
 
 const RangeKernel* KernelCache::range(double measured) {
-  bool built = false;
-  return range(measured, &built);
-}
-
-const RangeKernel* KernelCache::range(double measured, bool* built) {
   const auto key = std::bit_cast<std::uint64_t>(measured);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, fresh] = index_.try_emplace(key, kernels_.size());
   if (fresh) {
     kernels_.push_back(
         RangeKernel::make_range(measured, ranging_, shape_, trunc_sigmas_));
-    bytes_ += kernels_.back().approx_bytes();
     ++stats_.built;
   } else {
     ++stats_.shared;
   }
-  *built = fresh;
   return &kernels_[it->second];
 }
 
 KernelCache::Stats KernelCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-std::size_t KernelCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return kernels_.size();
-}
-
-std::size_t KernelCache::approx_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_ + sizeof(KernelCache);
-}
-
-namespace {
-
-/// FNV-1a over the exact bit patterns of a cache's parameter set.
-std::uint64_t parameter_hash(const RangingSpec& ranging,
-                             const GridShape& shape,
-                             double trunc_sigmas) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x00000100000001b3ULL;
-  };
-  const auto fold_d = [&fold](double v) {
-    fold(std::bit_cast<std::uint64_t>(v));
-  };
-  fold(static_cast<std::uint64_t>(ranging.type));
-  fold_d(ranging.noise_factor);
-  fold_d(ranging.range);
-  fold_d(ranging.outlier_epsilon);
-  fold_d(ranging.outlier_tail_scale);
-  fold_d(shape.field.lo.x);
-  fold_d(shape.field.lo.y);
-  fold_d(shape.field.hi.x);
-  fold_d(shape.field.hi.y);
-  fold(static_cast<std::uint64_t>(shape.side));
-  fold_d(trunc_sigmas);
-  return h;
-}
-
-bool same_parameters(const KernelCache& cache, const RangingSpec& ranging,
-                     const GridShape& shape, double trunc_sigmas) noexcept {
-  const RangingSpec& r = cache.ranging();
-  const GridShape& s = cache.shape();
-  const auto same_d = [](double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-  };
-  return r.type == ranging.type && same_d(r.noise_factor, ranging.noise_factor) &&
-         same_d(r.range, ranging.range) &&
-         same_d(r.outlier_epsilon, ranging.outlier_epsilon) &&
-         same_d(r.outlier_tail_scale, ranging.outlier_tail_scale) &&
-         same_d(s.field.lo.x, shape.field.lo.x) &&
-         same_d(s.field.lo.y, shape.field.lo.y) &&
-         same_d(s.field.hi.x, shape.field.hi.x) &&
-         same_d(s.field.hi.y, shape.field.hi.y) && s.side == shape.side &&
-         same_d(cache.trunc_sigmas(), trunc_sigmas);
-}
-
-}  // namespace
-
-KernelCacheRegistry& KernelCacheRegistry::instance() {
-  static KernelCacheRegistry registry;
-  return registry;
-}
-
-KernelCache& KernelCacheRegistry::acquire(const RangingSpec& ranging,
-                                          const GridShape& shape,
-                                          double trunc_sigmas) {
-  const std::uint64_t key = parameter_hash(ranging, shape, trunc_sigmas);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& bucket = caches_[key];
-  for (const auto& cache : bucket)
-    if (same_parameters(*cache, ranging, shape, trunc_sigmas)) return *cache;
-  bucket.push_back(
-      std::make_unique<KernelCache>(ranging, shape, trunc_sigmas));
-  return *bucket.back();
-}
-
-KernelCacheRegistry::Totals KernelCacheRegistry::totals() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Totals t;
-  t.built = evicted_built_;
-  t.shared = evicted_shared_;
-  for (const auto& [key, bucket] : caches_) {
-    for (const auto& cache : bucket) {
-      ++t.caches;
-      t.kernels += cache->size();
-      const KernelCache::Stats s = cache->stats();
-      t.built += s.built;
-      t.shared += s.shared;
-      t.approx_bytes += cache->approx_bytes();
-    }
-  }
-  return t;
-}
-
-std::size_t KernelCacheRegistry::trim(std::size_t max_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t bytes = 0;
-  for (const auto& [key, bucket] : caches_)
-    for (const auto& cache : bucket) bytes += cache->approx_bytes();
-  if (bytes <= max_bytes) return 0;
-  for (const auto& [key, bucket] : caches_) {
-    for (const auto& cache : bucket) {
-      const KernelCache::Stats s = cache->stats();
-      evicted_built_ += s.built;
-      evicted_shared_ += s.shared;
-    }
-  }
-  caches_.clear();
-  return bytes;
-}
-
-void KernelCacheRegistry::clear() {
-  trim(0);
-  std::lock_guard<std::mutex> lock(mutex_);
-  evicted_built_ = 0;
-  evicted_shared_ = 0;
 }
 
 }  // namespace bnloc

@@ -1,4 +1,4 @@
-// Memoization of annulus range kernels — per run, or process-wide.
+// Memoization of annulus range kernels within one grid run.
 //
 // Within one localize() run every link kernel is built from the same
 // RangingSpec, grid shape, and truncation width — the only thing that varies
@@ -12,12 +12,11 @@
 // perturb a single output bit. Kernels live in a deque — addresses stay
 // stable as the cache grows, so callers can hold plain pointers.
 //
-// The cache is internally synchronized, which makes one instance shareable
-// across concurrently-running localize() calls; KernelCacheRegistry below
-// hands out one process-global cache per kernel parameter set, so a fleet
-// of independent requests (the serve layer, docs/SERVICE.md) that measure
-// the same distance build the kernel once per process instead of once per
-// run. A kernel is immutable after construction, so reading a returned
+// Each grid run owns its cache: GridRun builds one per pyramid level and
+// drops it with the level, so nothing outlives the run that measured the
+// distances. Lookups are internally synchronized all the same (one lock
+// per lookup; misses build under it), so a cache may be shared across
+// threads. A kernel is immutable after construction, so reading a returned
 // pointer needs no further synchronization.
 #pragma once
 
@@ -25,10 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "inference/range_kernel.hpp"
 
@@ -49,28 +46,12 @@ class KernelCache {
   /// cache already holds pay one lock acquisition and no construction).
   const RangeKernel* range(double measured);
 
-  /// Same, reporting whether this lookup built the kernel (`*built = true`,
-  /// a miss) or shared an existing one. Callers metering per-run hit rates
-  /// against a shared cache need the per-lookup outcome — the cumulative
-  /// stats() below span every run that ever touched the cache.
-  const RangeKernel* range(double measured, bool* built);
-
   struct Stats {
     std::size_t built = 0;   ///< distinct kernels constructed.
     std::size_t shared = 0;  ///< lookups served from the cache.
   };
-  /// Snapshot of the cumulative counters (by value: a shared cache keeps
-  /// moving underneath any reference).
+  /// Snapshot of the cumulative counters, taken under the lock.
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
-  /// Approximate heap footprint of the stored kernels, for budget trims.
-  [[nodiscard]] std::size_t approx_bytes() const;
-
-  [[nodiscard]] const RangingSpec& ranging() const noexcept {
-    return ranging_;
-  }
-  [[nodiscard]] const GridShape& shape() const noexcept { return shape_; }
-  [[nodiscard]] double trunc_sigmas() const noexcept { return trunc_sigmas_; }
 
  private:
   RangingSpec ranging_;
@@ -79,60 +60,21 @@ class KernelCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
   std::deque<RangeKernel> kernels_;  ///< deque: stable addresses.
-  std::size_t bytes_ = 0;
   Stats stats_;
 };
 
-/// Process-global pool of shared KernelCaches, one per kernel parameter set
-/// (ranging spec, grid shape, truncation width — keyed on exact bit
-/// patterns, like the distances inside each cache). Kernels are pure
-/// functions of their parameters, so sharing a cache across runs, engines,
-/// and tenants cannot change a single output bit; what it changes is who
-/// pays construction — at fleet scale most requests find their kernels
-/// already built by an earlier request (the serve layer's cross-tenant fast
-/// path, `GridBnclConfig::kernel_scope = KernelScope::process`).
-///
-/// Lifetime contract: references returned by acquire() — and kernel
-/// pointers obtained through them — stay valid until clear()/trim().
-/// Those two must only be called while no localize() run is in flight;
-/// BatchService trims between batches, never during one.
+/// An empty remnant of the process-wide kernel pool, which is gone: kernels
+/// now live only in the KernelCache of the run that built them, so there is
+/// no process-wide kernel state to clear. It is kept only because
+/// bench/e2e/e2e.cpp calls `instance().clear()` before each set-up, and it
+/// goes together with those two calls.
 class KernelCacheRegistry {
  public:
-  /// The process-wide instance.
-  static KernelCacheRegistry& instance();
-
-  /// The shared cache for this parameter set, created on first request.
-  KernelCache& acquire(const RangingSpec& ranging, const GridShape& shape,
-                       double trunc_sigmas = 3.5);
-
-  struct Totals {
-    std::size_t caches = 0;        ///< distinct parameter sets seen.
-    std::size_t kernels = 0;       ///< kernels held across all caches.
-    std::size_t built = 0;         ///< cumulative misses (constructions).
-    std::size_t shared = 0;        ///< cumulative hits.
-    std::size_t approx_bytes = 0;  ///< summed cache footprints.
-  };
-  [[nodiscard]] Totals totals() const;
-
-  /// Drop every cache iff the summed footprint exceeds `max_bytes`
-  /// (all-or-nothing: partial eviction would invalidate an unpredictable
-  /// subset of outstanding pointers, and rebuilding is cheap relative to a
-  /// batch). Returns the bytes released. See the lifetime contract above.
-  std::size_t trim(std::size_t max_bytes);
-
-  /// Unconditional trim(0); tests use it to start from a known state.
-  void clear();
-
- private:
-  KernelCacheRegistry() = default;
-
-  mutable std::mutex mutex_;
-  /// Key: FNV-1a over the parameter bit patterns (exact, no quantization).
-  /// Collisions are resolved by comparing the stored cache's parameters.
-  std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<KernelCache>>>
-      caches_;
-  std::size_t evicted_built_ = 0;   ///< stats continuity across trims.
-  std::size_t evicted_shared_ = 0;
+  static KernelCacheRegistry& instance() {
+    static KernelCacheRegistry registry;
+    return registry;
+  }
+  void clear() {}
 };
 
 }  // namespace bnloc

@@ -102,14 +102,6 @@ class RangeKernel {
     return runs_.size();
   }
 
-  /// Approximate heap footprint (run table + weights + flat offsets), for
-  /// cache budget accounting.
-  [[nodiscard]] std::size_t approx_bytes() const noexcept {
-    return runs_.capacity() * sizeof(Run) +
-           weights_.capacity() * sizeof(double) +
-           flat_off_.capacity() * sizeof(std::int32_t) + sizeof(RangeKernel);
-  }
-
   /// Visit every stamp as (dx, dy, weight) in storage order — the original
   /// dy-major / dx-minor construction order. Lets tests and benches expand
   /// the run-compressed storage back into the flat stamp list it encodes.

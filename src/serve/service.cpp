@@ -47,14 +47,11 @@ BatchService::BatchService(ServeConfig config)
     : config_(config), pool_(config.threads) {}
 
 ServeRequest BatchService::sanitize(ServeRequest request) const {
-  // Execution knobs only: the batch is the parallelism (nested engine pools
-  // would oversubscribe), and kernel scope follows the service's sharing
-  // policy. Neither changes any output bit — single-threaded and
+  // An execution knob only: the batch is the parallelism (nested engine
+  // pools would oversubscribe). No output bit changes — single-threaded and
   // multi-threaded grid rounds are bit-identical by the engine's own
-  // contract, and kernels are pure functions of their cache key.
+  // contract.
   request.grid.threads = 1;
-  request.grid.kernel_scope =
-      config_.share_kernels ? KernelScope::process : KernelScope::run;
   return request;
 }
 
@@ -189,15 +186,6 @@ std::vector<ServeResponse> BatchService::run_batch(
   metrics_.count("serve.batches", 1);
   metrics_.count("serve.requests", n);
   metrics_.count("serve.failed", last_.failed);
-
-  if (config_.share_kernels) {
-    last_.kernel_totals = KernelCacheRegistry::instance().totals();
-    // Safe point for the all-or-nothing trim: the join above guarantees no
-    // run still holds kernel pointers from this service. (Other services
-    // sharing the process must quiesce too — docs/SERVICE.md.)
-    if (config_.kernel_budget_mb > 0)
-      KernelCacheRegistry::instance().trim(config_.kernel_budget_mb << 20);
-  }
   return responses;
 }
 

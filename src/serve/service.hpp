@@ -4,9 +4,8 @@
 // localization requests: requests shard across the pool, per-request
 // results stream back as JSON lines *in request order* (a worker finishing
 // request 7 before request 3 waits its turn in the emitter, not in the
-// solver), and cross-request state that is provably output-invisible — the
-// process-global KernelCacheRegistry, the SIMD dispatch — is shared across
-// every tenant in the process.
+// solver). Each request owns its engine state, range kernels included; the
+// only cross-request state, the SIMD dispatch, is output-invisible.
 //
 // Contracts (docs/SERVICE.md spells them out for service consumers):
 //  * Determinism/isolation: a request's response payload (everything but
@@ -14,10 +13,9 @@
 //    1 worker or 64, co-tenants or alone — bit-identical. Enforced by
 //    tests/test_serve.cpp and the bench_p3_serve identity gate.
 //  * Engines run single-threaded inside the service (the batch is the
-//    parallelism; nested pools would oversubscribe), and grid requests are
-//    switched to the process-global kernel scope when `share_kernels` is
-//    on. Both are sanitization of *execution* knobs — semantic engine
-//    config is honored verbatim.
+//    parallelism; nested pools would oversubscribe). That is the one
+//    *execution* knob the service sanitizes — semantic engine config is
+//    honored verbatim.
 //  * Tenant accounting: per-tenant request/failure counts, summed service
 //    latency, and the peak bytes of results and response lines held within
 //    one batch — the "memory per tenant" number. Latency percentiles are
@@ -33,7 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "inference/kernel_cache.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "serve/json_io.hpp"
@@ -46,16 +43,6 @@ struct ServeConfig {
   /// Worker threads for request-level parallelism. 0 (default) selects
   /// hardware concurrency; 1 serves serially on the pool's single worker.
   std::size_t threads = 0;
-  /// Route grid requests through the process-global KernelCacheRegistry
-  /// (GridBnclConfig::kernel_scope = process) so tenants measuring the
-  /// same distances share kernel construction. Off = every request keeps
-  /// a private per-run cache (the isolated baseline bench_p3_serve
-  /// compares against).
-  bool share_kernels = true;
-  /// Registry footprint ceiling: after a batch completes (never during
-  /// one — outstanding runs hold kernel pointers), the registry is dropped
-  /// wholesale if it exceeds this budget. 0 disables trimming.
-  std::size_t kernel_budget_mb = 512;
   /// Score results against the scenario's ground truth (simulated batches
   /// carry their truth; turn off when serving measurement-only workloads).
   bool evaluate = true;
@@ -103,8 +90,6 @@ struct BatchStats {
     return wall_seconds > 0.0 ? static_cast<double>(requests) / wall_seconds
                               : 0.0;
   }
-  /// Registry totals snapshotted after the batch (share_kernels only).
-  KernelCacheRegistry::Totals kernel_totals;
 };
 
 class BatchService {
@@ -134,9 +119,10 @@ class BatchService {
   /// Cumulative per-tenant accounting, sorted by tenant id.
   [[nodiscard]] std::vector<TenantStats> tenants() const;
   /// Folded request telemetry (one sink per request, folded in request
-  /// order): engine counters — `grid.kernels.process.hit/miss` among them —
-  /// plus the service's own `serve.*` counters and the per-tenant
-  /// `serve.latency_ns{tenant="…"}` histograms. Exposable via
+  /// order): engine counters (`grid.kernels.built/shared` among them, each
+  /// request counting its own kernels) plus the service's own `serve.*`
+  /// counters and the per-tenant `serve.latency_ns{tenant="…"}`
+  /// histograms. Exposable via
   /// obs::export_prometheus (the bnloc_serve --metrics-out path).
   [[nodiscard]] const obs::Registry& metrics() const noexcept {
     return metrics_;
@@ -158,8 +144,7 @@ class BatchService {
     std::size_t batch_result_bytes = 0;  ///< running footprint this batch.
   };
 
-  /// Execution-knob sanitization (never semantic): engine threads to 1,
-  /// kernel scope per `share_kernels`.
+  /// Execution-knob sanitization (never semantic): engine threads to 1.
   [[nodiscard]] ServeRequest sanitize(ServeRequest request) const;
 
   ServeConfig config_;

@@ -78,10 +78,8 @@ TEST(EngineConfig, GaussianRoundTripsSharedKnobs) {
 
 TEST(EngineConfig, GridFastPathKnobsRoundTrip) {
   GridBnclConfig cfg;
-  cfg.kernel_scope = KernelScope::process;
   cfg.threads = 3;
   const GridBncl engine(cfg);
-  EXPECT_EQ(engine.config().kernel_scope, KernelScope::process);
   EXPECT_EQ(engine.config().threads, 3u);
 }
 
