@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+
+#include "geom/cov2.hpp"
+#include "support/rng.hpp"
+
 namespace bnloc {
 namespace {
 
@@ -95,6 +101,58 @@ TEST(Metrics, CoverageWithinSigmaIgnoresNodesWithoutCovariance) {
     r.covariances[i] = std::nullopt;
   }
   EXPECT_DOUBLE_EQ(coverage_within_sigma(s, r, 2.0), 0.0);
+}
+
+TEST(Metrics, CoverageWithinSigmaMeetsTheTwoDNominals) {
+  // Truths drawn from the reported Gaussian: md^2 is then chi-square with
+  // 2 degrees of freedom, so the k-sigma share tends to 1 - e^(-k^2/2),
+  // the nominals T1 and quickstart print (0.393 at 1 sigma, 0.865 at 2).
+  ScenarioConfig cfg;
+  cfg.node_count = 400;
+  cfg.anchor_fraction = 0.1;
+  cfg.seed = 3;
+  const Scenario s = build_scenario(cfg);
+  const Cov2 cov{4e-4, 1.5e-4, 2.5e-4};  // anisotropic and correlated
+  const Cov2::Chol l = cov.cholesky();
+  Rng rng(11);
+  constexpr int kDraws = 10;  // ~3600 unknowns in all
+  double share1 = 0.0;
+  double share2 = 0.0;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    LocalizationResult r = make_result_skeleton(s);
+    for (const std::size_t i : s.unknown_indices()) {
+      const double z1 = rng.normal();
+      const double z2 = rng.normal();
+      // truth = estimate + L z with L L^T = cov.
+      r.estimates[i] = s.true_positions[i] -
+                       Vec2{l.l11 * z1, l.l21 * z1 + l.l22 * z2};
+      r.covariances[i] = cov;
+    }
+    const double c1 = coverage_within_sigma(s, r, 1.0);
+    const double c2 = coverage_within_sigma(s, r, 2.0);
+    EXPECT_LE(c1, c2);
+    share1 += c1 / kDraws;
+    share2 += c2 / kDraws;
+  }
+  // About four binomial standard errors at ~3600 samples.
+  EXPECT_NEAR(share1, 1.0 - std::exp(-0.5), 0.035);
+  EXPECT_NEAR(share2, 1.0 - std::exp(-2.0), 0.025);
+}
+
+TEST(Metrics, CoverageWithinSigmaCountsTheEllipseEdgeAsInside) {
+  // Inside means md^2 <= k^2. Powers of two keep md^2 exact here: an
+  // offset of 1/8 against a variance of 1/64 is exactly one sigma.
+  Scenario s = tiny_scenario();
+  const Vec2 truth{0.5, 0.5};
+  LocalizationResult r = make_result_skeleton(s);
+  for (const std::size_t i : s.unknown_indices()) {
+    s.true_positions[i] = truth;
+    r.estimates[i] = truth + Vec2{0.125, 0.0};
+    r.covariances[i] = Cov2::isotropic(1.0 / 64.0);
+  }
+  EXPECT_DOUBLE_EQ(coverage_within_sigma(s, r, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(
+      coverage_within_sigma(s, r, std::nextafter(1.0, 0.0)), 0.0);
 }
 
 TEST(Metrics, LocalizedCount) {
