@@ -4,9 +4,12 @@
 // rebroadcast gate engages (beliefs stop changing, nodes fall silent), and
 // the accuracy/traffic trade-off saturates: almost all of the final
 // accuracy is bought by the first ~8 iterations' worth of bytes. The
-// one-shot baselines anchor the cheap end of the spectrum; the Gaussian
-// engine shows the same accuracy curve at ~50x fewer bytes than the grid
-// engine (payload 20 B vs ~1 kB).
+// one-shot baselines anchor the cheap end of the spectrum. Bytes are the
+// payloads as sent: a grid summary is its wire encoding (bounding box,
+// presence bitmap, 16-bit masses; ~48 B at the default sizing), a Gaussian
+// summary five floats (20 B). The Gaussian engine publishes every round and
+// settled grid nodes fall silent, so per node the grid engine sends about
+// half the Gaussian engine's bytes in packets ~2.4x larger.
 #include "bench_common.hpp"
 
 using namespace bnloc;

@@ -45,6 +45,7 @@
 #include "inference/kernel_cache.hpp"
 #include "inference/particle_set.hpp"
 #include "inference/pyramid.hpp"
+#include "inference/summary_codec.hpp"
 #include "net/async_radio.hpp"
 #include "net/comm_stats.hpp"
 #include "net/transport.hpp"

@@ -18,6 +18,18 @@ namespace {
 /// Anchor belief standard deviation (anchors are exact).
 constexpr double kAnchorSigma = 1e-4;
 
+/// A Gaussian summary on the air: mean and covariance as five floats.
+constexpr std::size_t kPayloadBytes = 5 * sizeof(float);
+
+/// `g` as its payload carries it: every field rounded to float, so what
+/// receivers integrate is what the kPayloadBytes meter charges for.
+Gaussian2 on_air(const Gaussian2& g) noexcept {
+  const auto f = [](double v) {
+    return static_cast<double>(static_cast<float>(v));
+  };
+  return {{f(g.mean.x), f(g.mean.y)}, {f(g.cov.xx), f(g.cov.xy), f(g.cov.yy)}};
+}
+
 }  // namespace
 
 std::string GaussianBnclConfig::validate() const {
@@ -72,9 +84,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   // Every node's starting belief is on file from the outset, so under sync
   // a dropped delivery falls back to it (versions are the publishing round,
   // ignored by this engine).
-  for (std::size_t u = 0; u < n; ++u) transport.reset(u, 1, belief[u]);
-  // A Gaussian summary is mean + covariance: 5 floats = 20 bytes.
-  constexpr std::size_t kPayloadBytes = 20;
+  for (std::size_t u = 0; u < n; ++u) transport.reset(u, 1, on_air(belief[u]));
   QuorumGate quorum(config_.robustness, n);
 
   std::vector<Gaussian2> staged = belief;
@@ -99,14 +109,14 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       if (roles.acts_anchor(r)) continue;
       belief[r] = prior[r];
       staged[r] = prior[r];
-      transport.reset(r, iter + 1, prior[r]);
+      transport.reset(r, iter + 1, on_air(prior[r]));
       quorum.rearm(r);
       obs::count("gauss.reboots");
     }
 
     for (std::size_t u = 0; u < n; ++u) {
       if (transport.crashed(u)) continue;  // published state freezes at death
-      transport.publish(u, iter + 1, belief[u], kPayloadBytes);
+      transport.publish(u, iter + 1, on_air(belief[u]), kPayloadBytes);
     }
 
     double max_motion = 0.0;

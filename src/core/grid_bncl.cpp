@@ -12,6 +12,7 @@
 #include "inference/pyramid.hpp"
 #include "inference/range_kernel.hpp"
 #include "inference/scheduler.hpp"
+#include "inference/summary_codec.hpp"
 #include "net/transport.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
@@ -22,6 +23,8 @@ namespace bnloc {
 std::string GridBnclConfig::validate() const {
   if (!(damping >= 0.0 && damping < 1.0)) return "damping must be in [0, 1)";
   if (grid_side < 8) return "grid_side must be >= 8";
+  // A published summary names its box in 16-bit cell coordinates.
+  if (grid_side > kMaxSummarySide) return "grid_side must be <= 65535";
   if (pyramid_levels < 1) return "pyramid_levels must be >= 1";
   if (std::string why = robustness.validate(); !why.empty())
     return "robustness." + why;
@@ -311,15 +314,16 @@ class GridRun {
   // copy was dropped is not starved forever by the TV gate.
   std::vector<std::size_t> last_pub_round_;
   // Publish-phase two-pass state: pass 1 fills each node's candidate
-  // summary in parallel; pass 2 commits versions and metered traffic
-  // serially in node order (bit-identical at any thread count).
+  // summary in parallel; pass 2 encodes it and commits versions and metered
+  // traffic serially in node order (bit-identical at any thread count).
   std::vector<SparseBelief> pub_candidate_;
   std::vector<unsigned char> will_publish_;
+  std::vector<std::uint8_t> wire_;  ///< a summary's encoding (serial phases)
   std::vector<std::uint32_t> sched_cand_;
   std::vector<NodeWork> work_;
   std::size_t iter_ = 0;  ///< global round counter, spans all levels
   // Dense side² scratch for the consumers that need a whole-grid belief
-  // (estimates, the level switch's upsample, first-level prior masking).
+  // (the level switch's upsample, first-level prior masking).
   std::vector<double> dense_scratch_, coarse_scratch_;
 
   // --- Per level ----------------------------------------------------------
@@ -631,12 +635,14 @@ void GridRun::reboot() {
   // Warm re-entry (async; a no-op under sync): each live published
   // neighbor store-and-forward relays its newest summary to the rebooted
   // node, re-seeding its inbox in one hop instead of waiting out the
-  // TV-gate silence of converged neighbors.
+  // TV-gate silence of converged neighbors. The relay is metered as the
+  // summary's encoding.
   for (const std::uint32_t r : rebooted) {
     for (const Neighbor& nb : scenario_.graph.neighbors(r)) {
       const SparseBelief* newest = transport_.newest(nb.node).payload;
       if (transport_.crashed(nb.node) || newest == nullptr) continue;
-      transport_.relay(nb.node, r, newest->payload_bytes());
+      encode_summary(*newest, shape_.side, wire_);
+      transport_.relay(nb.node, r, wire_.size());
     }
   }
 }
@@ -701,14 +707,21 @@ void GridRun::publish() {
   // regardless of how pass 1 was scheduled.
   for (std::size_t u = 0; u < n_; ++u) {
     if (!will_publish_[u]) continue;
+    // The summary goes out as its wire bytes, metered at their size, and
+    // what neighbors integrate is what those bytes decode to: cells in
+    // ascending id, 16-bit masses. One decode here stands in for every
+    // receiver's decode of the same bytes. The decode keeps the candidate's
+    // covered fraction, which the non-link gate reads off the sender
+    // (two-hop evidence is not on the radio).
+    SparseBelief& summary = pub_candidate_[u];
+    encode_summary(summary, shape_.side, wire_);
+    decode_summary(wire_, shape_.side, summary);
     const std::uint64_t ver = ++pub_seq_;
     // A first announcement is also the sync fallback for a receiver that
     // misses this round's delivery.
-    if (transport_.newest(u).ver == 0)
-      transport_.reset(u, ver, pub_candidate_[u]);
+    if (transport_.newest(u).ver == 0) transport_.reset(u, ver, summary);
     if (sched_) sched_->commit_publish(u, ver);
-    const std::size_t bytes = pub_candidate_[u].payload_bytes();
-    transport_.publish(u, ver, std::move(pub_candidate_[u]), bytes);
+    transport_.publish(u, ver, std::move(summary), wire_.size());
     if (transport_.heartbeat_rounds() > 0) last_pub_round_[u] = iter_ + 1;
   }
 }
@@ -1058,12 +1071,15 @@ void GridRun::count_state_bytes() {
                  held_cells * sizeof(double));
 }
 
+// Moments over each belief's ROI box: outside it the belief is exactly
+// zero, so the box scan gives the whole-grid bits.
 void GridRun::emit_estimates(LocalizationResult& result) {
   for (std::size_t i = 0; i < n_; ++i) {
     if (scenario_.is_anchor[i]) continue;
-    const std::span<const double> b = belief_->dense(i, dense_scratch_);
-    result.estimates[i] = beliefops::mean(shape_, b);
-    result.covariances[i] = beliefops::covariance(shape_, b);
+    const ConstBoxView b = belief_->view(i);
+    const Vec2 mu = beliefops::mean_in(shape_, b);
+    result.estimates[i] = mu;
+    result.covariances[i] = beliefops::covariance_in(shape_, b, mu);
   }
 }
 

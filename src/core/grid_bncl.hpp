@@ -22,8 +22,11 @@
 //    worth a packet (uninformative-flooding suppression);
 //  * a localized node re-broadcasts only when its belief moved by more than
 //    a fixed total-variation tolerance;
-//  * payloads are the sparse top-cells summary, metered through the
-//    transport (net/transport.hpp; optionally lossy).
+//  * payloads are the sparse top-cells summary, sent and metered as its
+//    wire encoding (inference/summary_codec.hpp: bounding box, presence
+//    bitmap, 16-bit masses) through the transport (net/transport.hpp;
+//    optionally lossy); receivers integrate exactly what the bytes decode
+//    to.
 #pragma once
 
 #include <string>

@@ -33,11 +33,21 @@ static_assert(kPriorRefreshFraction + kRingRefreshFraction < 1.0,
 constexpr double kInformativeSpread = 1.5;
 
 /// What a node puts on the air each round: the subsampled cloud plus its RMS
-/// spread (the receiver-side informativeness gate travels with the payload).
+/// spread (the receiver-side informativeness gate travels with the payload),
+/// every value rounded to float — 8 bytes a point and 4 for the spread, as
+/// metered.
 struct ParticleSummary {
   std::vector<Vec2> pts;
   double spread = 1e30;
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return pts.size() * 2 * sizeof(float) + sizeof(float);
+  }
 };
+
+double to_float(double v) noexcept {
+  return static_cast<double>(static_cast<float>(v));
+}
 
 }  // namespace
 
@@ -129,9 +139,12 @@ LocalizationResult ParticleBncl::localize(const Scenario& scenario,
           belief[u].subsample(kMessageSubsample, work_rng);
       ParticleSummary summary;
       summary.pts.reserve(idx.size());
-      for (std::size_t p : idx) summary.pts.push_back(belief[u].point(p));
-      summary.spread = belief[u].covariance().rms_radius();
-      const std::size_t bytes = summary.pts.size() * 8;
+      for (std::size_t p : idx) {
+        const Vec2 pt = belief[u].point(p);
+        summary.pts.push_back({to_float(pt.x), to_float(pt.y)});
+      }
+      summary.spread = to_float(belief[u].covariance().rms_radius());
+      const std::size_t bytes = summary.bytes();
       transport.publish(u, iter + 1, std::move(summary), bytes);
     }
 

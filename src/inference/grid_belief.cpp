@@ -96,28 +96,17 @@ void normalize(std::span<double> mass) noexcept {
 }
 
 Vec2 mean(const GridShape& shape, std::span<const double> mass) noexcept {
-  Vec2 m{};
-  for (std::size_t c = 0; c < mass.size(); ++c)
-    m += shape.cell_center(c) * mass[c];
-  return m;
+  BNLOC_ASSERT(mass.size() == shape.cell_count(), "mass buffer shape mismatch");
+  return mean_in(shape, ConstBoxView::dense(mass, shape.side,
+                                            CellBox::full(shape.side)));
 }
 
-Cov2 covariance(const GridShape& shape,
-                std::span<const double> mass) noexcept {
-  const Vec2 mu = mean(shape, mass);
-  Cov2 cov{};
-  for (std::size_t c = 0; c < mass.size(); ++c) {
-    const Vec2 d = shape.cell_center(c) - mu;
-    cov.xx += mass[c] * d.x * d.x;
-    cov.xy += mass[c] * d.x * d.y;
-    cov.yy += mass[c] * d.y * d.y;
-  }
-  // Within-cell variance: a cell is a uniform patch, not a point.
-  const double sx = shape.cell_width();
-  const double sy = shape.cell_height();
-  cov.xx += sx * sx / 12.0;
-  cov.yy += sy * sy / 12.0;
-  return cov;
+Cov2 covariance(const GridShape& shape, std::span<const double> mass,
+                Vec2 mu) noexcept {
+  BNLOC_ASSERT(mass.size() == shape.cell_count(), "mass buffer shape mismatch");
+  return covariance_in(
+      shape, ConstBoxView::dense(mass, shape.side, CellBox::full(shape.side)),
+      mu);
 }
 
 double entropy(std::span<const double> mass) noexcept {
@@ -222,6 +211,48 @@ double total_variation_in(ConstBoxView a, ConstBoxView b) {
   for (std::int32_t y = a.box.y0; y <= a.box.y1; ++y)
     l1 += simd::l1_diff(a.row(y), b.row(y), w);
   return 0.5 * l1;
+}
+
+namespace {
+
+/// Calls fn(cell center, mass) for every box cell, row-major.
+template <typename Fn>
+void for_box_cells(const GridShape& shape, ConstBoxView mass, Fn&& fn) {
+  const std::size_t w = mass.box.width();
+  for (std::int32_t y = mass.box.y0; y <= mass.box.y1; ++y) {
+    const double* const row = mass.row(y);
+    const std::size_t first = static_cast<std::size_t>(y) * shape.side +
+                              static_cast<std::size_t>(mass.box.x0);
+    for (std::size_t t = 0; t < w; ++t)
+      fn(shape.cell_center(first + t), row[t]);
+  }
+}
+
+}  // namespace
+
+Vec2 mean_in(const GridShape& shape, ConstBoxView mass) noexcept {
+  BNLOC_ASSERT(mass.side == shape.side, "mass buffer shape mismatch");
+  Vec2 m{};
+  for_box_cells(shape, mass, [&](Vec2 center, double p) { m += center * p; });
+  return m;
+}
+
+Cov2 covariance_in(const GridShape& shape, ConstBoxView mass,
+                   Vec2 mu) noexcept {
+  BNLOC_ASSERT(mass.side == shape.side, "mass buffer shape mismatch");
+  Cov2 cov{};
+  for_box_cells(shape, mass, [&](Vec2 center, double p) {
+    const Vec2 d = center - mu;
+    cov.xx += p * d.x * d.x;
+    cov.xy += p * d.x * d.y;
+    cov.yy += p * d.y * d.y;
+  });
+  // Within-cell variance: a cell is a uniform patch, not a point.
+  const double sx = shape.cell_width();
+  const double sy = shape.cell_height();
+  cov.xx += sx * sx / 12.0;
+  cov.yy += sy * sy / 12.0;
+  return cov;
 }
 
 void copy_in(ConstBoxView from, BoxView to) noexcept {

@@ -36,7 +36,8 @@
 namespace bnloc {
 
 /// Sparse summary of a belief: the top cells covering most of the mass.
-/// This is also the over-the-air payload of the distributed protocol.
+/// This is the payload of the distributed protocol; its bytes on the radio
+/// are the format in inference/summary_codec.hpp.
 struct SparseBelief {
   std::vector<std::uint32_t> cells;
   std::vector<float> mass;  ///< renormalized to sum 1 over the kept cells.
@@ -46,10 +47,6 @@ struct SparseBelief {
 
   [[nodiscard]] bool empty() const noexcept { return cells.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return cells.size(); }
-  /// Wire size: 4-byte cell id + 2-byte quantized mass per entry.
-  [[nodiscard]] std::size_t payload_bytes() const noexcept {
-    return cells.size() * 6;
-  }
 };
 
 /// Geometry of a grid discretization: which field rectangle, how many cells
@@ -213,10 +210,13 @@ void mix(std::span<double> mass, std::span<const double> previous,
 
 void normalize(std::span<double> mass) noexcept;
 
+/// Mean of a dense belief: the full-box mean_in.
 [[nodiscard]] Vec2 mean(const GridShape& shape,
                         std::span<const double> mass) noexcept;
+/// Covariance of a dense belief about its mean `mu`: the full-box
+/// covariance_in.
 [[nodiscard]] Cov2 covariance(const GridShape& shape,
-                              std::span<const double> mass) noexcept;
+                              std::span<const double> mass, Vec2 mu) noexcept;
 /// Shannon entropy in nats; uniform gives log(cell_count).
 [[nodiscard]] double entropy(std::span<const double> mass) noexcept;
 /// Half L1 distance between two beliefs (total variation), in [0, 1].
@@ -272,6 +272,16 @@ void mix_in(BoxView mass, ConstBoxView previous, double lambda) noexcept;
 
 /// Half L1 distance when both beliefs are zero outside the box.
 [[nodiscard]] double total_variation_in(ConstBoxView a, ConstBoxView b);
+
+/// Mean over the box cells, row-major. Cells outside the box are exact
+/// zeros, so skipping them leaves the sum of the whole-grid scan bit for
+/// bit.
+[[nodiscard]] Vec2 mean_in(const GridShape& shape, ConstBoxView mass) noexcept;
+/// Covariance about `mu` (normally mean_in's result) over the box cells,
+/// row-major, plus each cell's own uniform-patch variance; bit-equal to
+/// the whole-grid scan like mean_in.
+[[nodiscard]] Cov2 covariance_in(const GridShape& shape, ConstBoxView mass,
+                                 Vec2 mu) noexcept;
 
 /// Copy the box cells of `from` onto `to` — packs or unpacks when the
 /// layouts differ (outside the box a dense `to` is untouched; callers keep
@@ -411,7 +421,7 @@ class GridBelief {
     return beliefops::mean(shape_, mass_);
   }
   [[nodiscard]] Cov2 covariance() const noexcept {
-    return beliefops::covariance(shape_, mass_);
+    return beliefops::covariance(shape_, mass_, mean());
   }
   /// Shannon entropy in nats; uniform gives log(cell_count).
   [[nodiscard]] double entropy() const noexcept {

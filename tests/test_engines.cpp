@@ -1,13 +1,19 @@
 // Integration tests for the three BNCL engines (core/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/gaussian_bncl.hpp"
 #include "core/grid_bncl.hpp"
 #include "core/particle_bncl.hpp"
 #include "eval/metrics.hpp"
+#include "inference/summary_codec.hpp"
+#include "obs/telemetry.hpp"
+#include "prior/prior.hpp"
 
 namespace bnloc {
 namespace {
@@ -248,6 +254,85 @@ TEST(GridBncl, BayesianCalibrationIsNonTrivial) {
   EXPECT_GT(calib, 0.5);
 }
 
+// The radio charges a grid summary exactly its wire encoding. One round on
+// a world where every publish is known in advance: anchors send their
+// one-cell delta, and each unknown, its prior uniform over a 9 x 9 block of
+// cells, sends all 81 equal-mass cells of it.
+TEST(GridBncl, MeteredBytesAreTheEncodedSummaries) {
+  Scenario s = build_scenario(default_config(44));
+  const GridShape shape{s.field, GridBnclConfig{}.grid_side};
+  std::vector<std::uint8_t> wire;
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < s.node_count(); ++i) {
+    SparseBelief sent;
+    if (s.is_anchor[i]) {
+      sent.cells = {static_cast<std::uint32_t>(
+          shape.cell_at(s.anchor_position(i)))};
+      sent.mass = {1.0f};
+    } else {
+      const std::size_t home = shape.cell_at(s.true_positions[i]);
+      const std::size_t cx = std::clamp<std::size_t>(home % shape.side, 4,
+                                                     shape.side - 5);
+      const std::size_t cy = std::clamp<std::size_t>(home / shape.side, 4,
+                                                     shape.side - 5);
+      const auto edge = [&](std::size_t x, std::size_t y) {
+        return Vec2{s.field.lo.x + static_cast<double>(x) * shape.cell_width(),
+                    s.field.lo.y +
+                        static_cast<double>(y) * shape.cell_height()};
+      };
+      s.priors[i] = std::make_shared<UniformPrior>(
+          Aabb{edge(cx - 4, cy - 4), edge(cx + 5, cy + 5)});
+      for (std::size_t y = cy - 4; y <= cy + 4; ++y)
+        for (std::size_t x = cx - 4; x <= cx + 4; ++x) {
+          sent.cells.push_back(static_cast<std::uint32_t>(y * shape.side + x));
+          sent.mass.push_back(1.0f / 81.0f);
+        }
+    }
+    encode_summary(sent, shape.side, wire);
+    expected += wire.size();
+  }
+  GridBnclConfig cfg;
+  cfg.iteration.max_iterations = 1;
+  Rng rng(3);
+  const auto r = GridBncl(cfg).localize(s, rng);
+  EXPECT_EQ(r.comm.messages_sent, s.node_count());
+  EXPECT_EQ(r.comm.bytes_sent, expected);
+}
+
+// The async reboot relay charges the encoding of the summary it re-sends.
+// On an all-anchor network every send — first announcement, heartbeat,
+// relay or link-layer retransmission — carries a one-cell summary, so each
+// costs that summary's wire size.
+TEST(GridBncl, AsyncRelaysMeterTheEncodedSummary) {
+  ScenarioConfig sc = default_config(45);
+  sc.faults.crash_fraction = 0.3;
+  sc.faults.crash_round_min = 2;
+  sc.faults.crash_round_max = 6;
+  sc.faults.reboot_fraction = 1.0;
+  sc.faults.reboot_delay_min = 2;
+  sc.faults.reboot_delay_max = 4;
+  Scenario s = build_scenario(sc);
+  std::fill(s.is_anchor.begin(), s.is_anchor.end(), true);
+  GridBnclConfig cfg;
+  cfg.transport.async = true;
+  cfg.iteration.convergence_tol = 0.0;  // run every round
+  obs::Telemetry sink;
+  LocalizationResult r;
+  {
+    const obs::TelemetryScope scope(&sink);
+    Rng rng(4);
+    r = GridBncl(cfg).localize(s, rng);
+  }
+  ASSERT_GT(sink.registry.counter("radio.async.relays"), 0u);
+  SparseBelief one_cell;
+  one_cell.cells = {0};
+  one_cell.mass = {1.0f};
+  std::vector<std::uint8_t> wire;
+  encode_summary(one_cell, GridBnclConfig{}.grid_side, wire);
+  EXPECT_EQ(r.comm.bytes_sent,
+            (r.comm.messages_sent + r.comm.messages_retried) * wire.size());
+}
+
 TEST(ParticleBncl, MoreParticlesHelp) {
   ScenarioConfig scfg = default_config(37);
   scfg.prior_quality = PriorQuality::none;
@@ -263,13 +348,20 @@ TEST(ParticleBncl, MoreParticlesHelp) {
   EXPECT_LT(e_large, e_small);
 }
 
+// Per message, a Gaussian summary (five floats) is far smaller than a grid
+// summary. Per node the grid engine can send fewer bytes: it falls silent
+// once its beliefs settle, while the Gaussian engine publishes every round.
 TEST(GaussianBncl, TinyPayloadComparedToGrid) {
   const Scenario s = build_scenario(default_config(38));
   Rng r1(1), r2(1);
   const auto gauss = GaussianBncl().localize(s, r1);
   const auto grid = GridBncl().localize(s, r2);
-  EXPECT_LT(gauss.comm.bytes_per_node(s.node_count()),
-            grid.comm.bytes_per_node(s.node_count()));
+  const auto per_message = [](const CommStats& c) {
+    return static_cast<double>(c.bytes_sent) /
+           static_cast<double>(c.messages_sent);
+  };
+  EXPECT_EQ(per_message(gauss.comm), 20.0);
+  EXPECT_LT(per_message(gauss.comm), per_message(grid.comm));
 }
 
 TEST(GaussianBncl, ConvergesWithPriors) {

@@ -118,7 +118,6 @@ TEST(GridBelief, SparsifyCoversRequestedMass) {
   float sum = 0.0f;
   for (float m : sp.mass) sum += m;
   EXPECT_NEAR(sum, 1.0f, 1e-4f);
-  EXPECT_EQ(sp.payload_bytes(), sp.size() * 6);
 }
 
 TEST(GridBelief, SparsifyRespectsCap) {
@@ -288,12 +287,50 @@ TEST(BeliefStore, DenseUnpacksWithoutResumming) {
   const Vec2 m1 = beliefops::mean(shape, unpacked);
   EXPECT_EQ(bits(m0.x), bits(m1.x));
   EXPECT_EQ(bits(m0.y), bits(m1.y));
-  EXPECT_EQ(bits(beliefops::covariance(shape, dense).xy),
-            bits(beliefops::covariance(shape, unpacked).xy));
+  EXPECT_EQ(bits(beliefops::covariance(shape, dense, m0).xy),
+            bits(beliefops::covariance(shape, unpacked, m1).xy));
 
   // A full-box slot is already dense: no copy.
   BeliefStore full(shape, 1);
   EXPECT_EQ(full.dense(0, scratch).data(), full[0].data());
+}
+
+// The engine's estimates read each belief's ROI box only. Outside the box
+// the belief is exactly zero and the scan keeps row-major order, so the box
+// moments are the dense ones bit for bit, in either layout: on a partial
+// box, a one-cell box and the full box.
+TEST(BeliefOps, BoxMomentsMatchDenseBitForBit) {
+  const GridShape shape{Aabb{{-0.3, 0.2}, {1.7, 1.4}}, 13};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::mt19937_64 gen(9);
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  for (const CellBox roi : {CellBox{2, 8, 4, 11}, CellBox{5, 5, 7, 7},
+                            CellBox::full(shape.side)}) {
+    std::vector<double> dense(shape.cell_count(), 0.0);
+    for (std::int32_t y = roi.y0; y <= roi.y1; ++y)
+      for (std::int32_t x = roi.x0; x <= roi.x1; ++x)
+        dense[static_cast<std::size_t>(y) * shape.side +
+              static_cast<std::size_t>(x)] = dist(gen);
+    beliefops::normalize(dense);
+    BeliefStore store(shape, {roi});
+    beliefops::copy_in(ConstBoxView::dense(dense, shape.side, roi),
+                       store.view(0));
+
+    SCOPED_TRACE(testing::Message() << "box of " << roi.cell_count());
+    const Vec2 mu = beliefops::mean(shape, dense);
+    const Cov2 cov = beliefops::covariance(shape, dense, mu);
+    const ConstBoxView views[] = {ConstBoxView::dense(dense, shape.side, roi),
+                                  store.view(0)};
+    for (const ConstBoxView& view : views) {
+      const Vec2 box_mu = beliefops::mean_in(shape, view);
+      EXPECT_EQ(bits(box_mu.x), bits(mu.x));
+      EXPECT_EQ(bits(box_mu.y), bits(mu.y));
+      const Cov2 box_cov = beliefops::covariance_in(shape, view, box_mu);
+      EXPECT_EQ(bits(box_cov.xx), bits(cov.xx));
+      EXPECT_EQ(bits(box_cov.xy), bits(cov.xy));
+      EXPECT_EQ(bits(box_cov.yy), bits(cov.yy));
+    }
+  }
 }
 
 }  // namespace

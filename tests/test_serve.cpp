@@ -496,6 +496,7 @@ TEST(BatchService, EngineInvariantViolationsFailTheRequestNotTheProcess) {
        "reboot_delay_max"},
       // Grid engine, with its robustness and schedule blocks.
       {R"("engine_config": {"grid_side": 6})", nullptr, "grid_side"},
+      {R"("engine_config": {"grid_side": 65536})", nullptr, "grid_side"},
       {R"("engine_config": {"pyramid_levels": 0})", nullptr, "pyramid_levels"},
       {R"("engine_config": {"update_quorum": 2.0})", nullptr, "update_quorum"},
       {"", [](ServeRequest& r) { r.grid.damping = 1.5; }, "damping"},
